@@ -18,9 +18,8 @@ from .lattice import (LatticeNode, Semilattice, build_semilattice,
                       verify_weak_order_axioms)
 from .monoid import (DEFAULT_CAP, Monoid, Transformation, close, compose,
                      from_table)
-from .norton import (IdempotentSystem, NortonData, a_element, b_element,
-                     e_system, node_data, p_element, t_element, verify_system,
-                     z_element)
+from .norton import (IdempotentSystem, NortonData, e_system, node_data,
+                     verify_system)
 from .order import (OrderRelation, check_left_absorption, is_j_trivial,
                     is_r_trivial, weak_preorder)
 from .verify import run_full_suite
@@ -37,8 +36,8 @@ __all__ = [
     "verify_weak_order_axioms",
     "DEFAULT_CAP", "Monoid", "Transformation", "close", "compose",
     "from_table",
-    "IdempotentSystem", "NortonData", "a_element", "b_element", "e_system",
-    "node_data", "p_element", "t_element", "verify_system", "z_element",
+    "IdempotentSystem", "NortonData", "e_system", "node_data",
+    "verify_system",
     "OrderRelation", "check_left_absorption", "is_j_trivial", "is_r_trivial",
     "weak_preorder",
     "run_full_suite",

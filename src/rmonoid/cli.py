@@ -8,7 +8,8 @@ Command-line front end.
 
 The spec argument is JSON text, or a path to a file holding it. Exit
 codes: 0 success, 1 verification failure, 2 input not R-trivial, 3 parse
-or input error, 4 element cap exceeded.
+or input error (including unreadable spec files and unwritable output
+files), 4 element cap exceeded.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as err:
+    except (SpecError, OSError, UnicodeDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except NotRTrivial as err:

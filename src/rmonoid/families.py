@@ -169,6 +169,8 @@ def parse_spec(text: str | dict) -> MonoidSpec:
         raw = d["names"]
         if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
             raise SpecError("names", "must be a list of strings")
+        if len(set(raw)) != len(raw):
+            raise SpecError("names", "must be distinct")
         names = tuple(raw)
 
     if kind == "transformations":
@@ -231,6 +233,8 @@ def load(spec: MonoidSpec) -> Monoid:
         return close([Transformation(g) for g in spec.generators],
                      cap=spec.cap, names=list(spec.names) if spec.names else None)
     if spec.kind == "table":
+        if len(spec.table) > spec.cap:
+            raise CapExceeded(spec.cap, len(spec.table))
         return from_table(
             [list(r) for r in spec.table], identity=spec.identity,
             generators=list(spec.generators) if spec.generators is not None else None,

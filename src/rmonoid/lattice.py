@@ -36,13 +36,11 @@ class Semilattice:
     """Nodes, order, join table and content/descent maps for one monoid."""
 
     def __init__(self, monoid: Monoid, order: OrderRelation,
-                 nodes: list[LatticeNode], ideal_masks: list[int],
-                 preceq_masks: list[int], join: list[list[int]],
-                 content: list[int], bottom: int):
+                 nodes: list[LatticeNode], preceq_masks: list[int],
+                 join: list[list[int]], content: list[int], bottom: int):
         self.monoid = monoid
         self.order = order
         self.nodes = nodes
-        self._ideal_masks = ideal_masks
         self._preceq = preceq_masks     # bit K of _preceq[J]: J preceq K
         self._join = join
         self._content = content        # node id per monoid element
@@ -115,15 +113,6 @@ class Semilattice:
             gi for gi, g in enumerate(m.generators)
             if self.preceq(self._content[g], a)
         )
-
-    def node_of_ideal(self, ideal: frozenset[int]) -> int | None:
-        mask = 0
-        for x in ideal:
-            mask |= 1 << x
-        for node in self.nodes:
-            if self._ideal_masks[node.node_id] == mask:
-                return node.node_id
-        return None
 
 
 def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilattice:
@@ -219,8 +208,8 @@ def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilatt
             join[a][b] = j
 
     return Semilattice(
-        monoid=m, order=order, nodes=nodes, ideal_masks=ideal_masks,
-        preceq_masks=preceq_masks, join=join, content=content, bottom=bottom,
+        monoid=m, order=order, nodes=nodes, preceq_masks=preceq_masks,
+        join=join, content=content, bottom=bottom,
     )
 
 

@@ -191,13 +191,6 @@ class Monoid:
     def is_idempotent(self, x: int) -> bool:
         return self.mult(x, x) == x
 
-    def idempotents(self) -> list[int]:
-        return [x for x in range(self.size) if self.mult(x, x) == x]
-
-    def left_ideal(self, x: int) -> frozenset[int]:
-        """The set S*x of all left multiples of `x`."""
-        return frozenset(self.row(s)[x] for s in range(self.size))
-
 
 def _bfs_build(identity_key, gen_keys, step, cap):
     """Generic closure by BFS over right multiplication by generators.

@@ -28,9 +28,7 @@ from .order import is_j_trivial
 from .reporting import Report
 
 __all__ = [
-    "NortonData", "IdempotentSystem",
-    "t_element", "b_element", "a_element", "z_element", "p_element",
-    "node_data", "e_system", "verify_system",
+    "NortonData", "IdempotentSystem", "node_data", "e_system", "verify_system",
 ]
 
 MODES = ("general", "jtrivial", "auto")
@@ -52,21 +50,8 @@ class NortonData:
 @dataclass
 class IdempotentSystem:
     data: list[NortonData]          # indexed by node id
-    generator_order: list[int]
     mode_used: str
     verification: Report | None = field(default=None)
-
-
-def _stab_cap(lat: Semilattice) -> int:
-    return (lat.order.chain_length or lat.monoid.size) + 2
-
-
-def _qualifying(lat: Semilattice, J: int):
-    """Generator elements split by whether C(g) preceq J, input order kept."""
-    inside, outside = [], []
-    for g in lat.monoid.generators:
-        (inside if lat.preceq(lat.content(g), J) else outside).append(g)
-    return inside, outside
 
 
 def _resolve_mode(lat: Semilattice, mode: str) -> str:
@@ -77,72 +62,26 @@ def _resolve_mode(lat: Semilattice, mode: str) -> str:
     return mode
 
 
-def t_element(lat: Semilattice, J: int) -> int:
-    """T_J; the empty product gives the identity."""
-    m = lat.monoid
-    inside, _ = _qualifying(lat, J)
-    prod = m.identity
-    for g in inside:
-        prod = m.mult(prod, m.idempotent_power(g))
-    t = m.idempotent_power(prod)
-    if lat.content(t) != J:
-        raise ConsistencyError(
-            f"content of T at node {J} is {lat.content(t)}, not {J}"
-        )
-    return t
-
-
-def b_element(lat: Semilattice, J: int) -> AlgebraElement:
-    """B_J; the empty product gives 1."""
-    m = lat.monoid
-    _, outside = _qualifying(lat, J)
-    p = one(m)
-    for g in outside:
-        p = p * (one(m) - basis(m, m.idempotent_power(g)))
-    return p
-
-
-def a_element(lat: Semilattice, J: int,
-              B: AlgebraElement | None = None) -> tuple[AlgebraElement, int]:
-    """Stable power of B_J with its exponent; checks g^omega * A_J = 0."""
-    m = lat.monoid
-    if B is None:
-        B = b_element(lat, J)
-    A, n_b = power_until_stable(B, _stab_cap(lat))
-    _, outside = _qualifying(lat, J)
-    for g in outside:
-        if not (basis(m, m.idempotent_power(g)) * A).is_zero():
-            raise ConsistencyError(
-                f"g^omega * A != 0 at node {J} for generator element {g}"
-            )
-    return A, n_b
+def _leading_term_fault(lat: Semilattice, elem: AlgebraElement, T: int,
+                        J: int, what: str) -> str | None:
+    """Why elem lacks coefficient 1 at T with every other term strictly
+    above J, or None when it has them."""
+    if elem.coefficient(T) != 1:
+        return f"coefficient of T in {what} at node {J} is {elem.coefficient(T)}"
+    for y in elem.coeffs:
+        if y != T:
+            cy = lat.content(y)
+            if cy == J or not lat.preceq(J, cy):
+                return (f"term {y} of {what} at node {J} has content {cy}, "
+                        f"not strictly above {J}")
+    return None
 
 
 def _check_leading_term(lat: Semilattice, elem: AlgebraElement, T: int,
                         J: int, what: str) -> None:
-    # coefficient of T_J must be 1 and every other term strictly above J
-    if elem.coefficient(T) != 1:
-        raise ConsistencyError(
-            f"coefficient of T in {what} at node {J} is {elem.coefficient(T)}"
-        )
-    for y in elem.coeffs:
-        if y == T:
-            continue
-        cy = lat.content(y)
-        if cy == J or not lat.preceq(J, cy):
-            raise ConsistencyError(
-                f"term {y} of {what} at node {J} has content {cy}, "
-                f"not strictly above {J}"
-            )
-
-
-def z_element(lat: Semilattice, J: int) -> AlgebraElement:
-    """The Norton element z_J = A_J * T_J."""
-    T = t_element(lat, J)
-    A, _ = a_element(lat, J)
-    z = A * basis(lat.monoid, T)
-    _check_leading_term(lat, z, T, J, "z")
-    return z
+    fault = _leading_term_fault(lat, elem, T, J, what)
+    if fault is not None:
+        raise ConsistencyError(fault)
 
 
 def _least_vanishing(z: AlgebraElement, tail: AlgebraElement,
@@ -162,68 +101,62 @@ def _least_vanishing(z: AlgebraElement, tail: AlgebraElement,
     )
 
 
-def _p_from_z(lat: Semilattice, z: AlgebraElement, T: int, J: int,
-              mode: str, cross_check: bool) -> tuple[AlgebraElement, int]:
+def node_data(lat: Semilattice, J: int, mode: str = "general") -> NortonData:
+    """T_J, B_J, A_J, z_J and P_J of one node, in that order.
+
+    mode 'general' works for every R-trivial monoid; 'jtrivial' uses the
+    shorter formula for P valid for J-trivial monoids; 'auto' picks by
+    testing J-triviality. The e field starts out as P; e_system overwrites
+    it.
+    """
+    mode = _resolve_mode(lat, mode)
     m = lat.monoid
-    cap = _stab_cap(lat)
+    cap = (lat.order.chain_length or m.size) + 2
+    # generators split by whether C(g) preceq J, input order kept
+    inside, outside = [], []
+    for g in m.generators:
+        go = m.idempotent_power(g)
+        if lat.preceq(lat.content(g), J):
+            inside.append(go)
+        else:
+            outside.append((g, go))
+
+    prod = m.identity                   # the empty product gives 1
+    for go in inside:
+        prod = m.mult(prod, go)
+    T = m.idempotent_power(prod)
+    if lat.content(T) != J:
+        raise ConsistencyError(
+            f"content of T at node {J} is {lat.content(T)}, not {J}"
+        )
+
+    B = one(m)
+    for _, go in outside:
+        B = B * (one(m) - basis(m, go))
+    A, n_b = power_until_stable(B, cap)
+    for g, go in outside:
+        if not (basis(m, go) * A).is_zero():
+            raise ConsistencyError(
+                f"g^omega * A != 0 at node {J} for generator element {g}"
+            )
+
+    z = A * basis(m, T)
+    _check_leading_term(lat, z, T, J, "z")
+
     if mode == "jtrivial":
         n_z, wN1 = _least_vanishing(z, z, cap)
         P = one(m) - wN1
     else:
         n_z, wN1 = _least_vanishing(z, z * z, cap)
         P = one(m) - (one(m) + z.scale(n_z + 1)) * wN1
-        if cross_check:
-            w = one(m) - z
-            total = AlgebraElement(m, {})
-            term = z * z
-            for k in range(n_z + 1):
-                total = total + term.scale(k + 1)
-                term = w * term
-            if total != P:
-                raise ConsistencyError(
-                    f"closed form of P at node {J} disagrees with the "
-                    f"truncated summation"
-                )
     if P * P != P:
         raise ConsistencyError(f"P at node {J} is not idempotent")
     _check_leading_term(lat, P, T, J, "P")
-    return P, n_z
-
-
-def p_element(lat: Semilattice, J: int, mode: str = "general",
-              cross_check: bool = False) -> tuple[AlgebraElement, int]:
-    """The idempotent P_J and the exponent its closed form used.
-
-    mode 'general' works for every R-trivial monoid; 'jtrivial' uses the
-    shorter formula valid for J-trivial monoids; 'auto' picks by testing
-    J-triviality. With cross_check the truncated double summation is also
-    evaluated and compared against the closed form.
-    """
-    mode = _resolve_mode(lat, mode)
-    T = t_element(lat, J)
-    z = z_element(lat, J)
-    return _p_from_z(lat, z, T, J, mode, cross_check)
-
-
-def node_data(lat: Semilattice, J: int, mode: str = "general",
-              cross_check: bool = False) -> NortonData:
-    """All per-node pieces in one pass, sharing intermediate results.
-
-    The e field starts out as P; the system recursion overwrites it.
-    """
-    mode = _resolve_mode(lat, mode)
-    T = t_element(lat, J)
-    B = b_element(lat, J)
-    A, n_b = a_element(lat, J, B)
-    z = A * basis(lat.monoid, T)
-    _check_leading_term(lat, z, T, J, "z")
-    P, n_z = _p_from_z(lat, z, T, J, mode, cross_check)
     return NortonData(node_id=J, T=T, B=B, A=A, z=z, P=P,
                       e=P, N_B=n_b, N_z=n_z)
 
 
-def e_system(lat: Semilattice, mode: str = "auto",
-             cross_check: bool = False) -> IdempotentSystem:
+def e_system(lat: Semilattice, mode: str = "auto") -> IdempotentSystem:
     """Compute every e_J, descending the lattice from its maximal nodes.
 
     The recursion may follow any linear extension that sees all K strictly
@@ -237,16 +170,20 @@ def e_system(lat: Semilattice, mode: str = "auto",
     data: list[NortonData | None] = [None] * lat.n_nodes
     for nd in order:
         J = nd.node_id
-        rec = node_data(lat, J, mode=mode, cross_check=cross_check)
+        rec = node_data(lat, J, mode=mode)
         rest = one(m)
         for K in lat.strictly_above(J):
             rest = rest - data[K].e
         rec.e = rec.P * rest
         _check_leading_term(lat, rec.e, rec.T, J, "e")
         data[J] = rec
-    return IdempotentSystem(
-        data=data, generator_order=list(m.generators), mode_used=mode,
-    )
+    return IdempotentSystem(data=data, mode_used=mode)
+
+
+def _first_pair(k: int, fails) -> tuple[int, int] | None:
+    """First (a, b) in row-major order over range(k) squared with fails(a, b)."""
+    return next(((a, b) for a in range(k) for b in range(k) if fails(a, b)),
+                None)
 
 
 def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
@@ -260,78 +197,42 @@ def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
     m = lat.monoid
     report = Report()
     k = lat.n_nodes
-    es = [sys.data[J].e for J in range(k)]
+    data = sys.data
+    es = [data[J].e for J in range(k)]
 
     bad = next((J for J in range(k) if es[J] * es[J] != es[J]), None)
     report.add("idempotent", bad is None, f"e at node {bad}")
 
-    bad = None
-    for J in range(k):
-        for K in range(k):
-            if J != K and not (es[J] * es[K]).is_zero():
-                bad = (J, K)
-                break
-        if bad:
-            break
-    report.add("orthogonal", bad is None, bad and f"e_J * e_K != 0 at {bad}")
+    bad = _first_pair(k, lambda J, K: J != K and not (es[J] * es[K]).is_zero())
+    report.add("orthogonal", bad is None, f"e_J * e_K != 0 at {bad}")
 
     total = AlgebraElement(m, {})
     for e in es:
         total = total + e
     report.add("sum_to_one", total == one(m), "sum of all e_J is not 1")
 
-    bad = None
-    for J in range(k):
-        e, T = es[J], sys.data[J].T
-        if e.is_zero() or e.coefficient(T) != 1:
-            bad = J
-            break
-        for y in e.coeffs:
-            if y != T:
-                cy = lat.content(y)
-                if cy == J or not lat.preceq(J, cy):
-                    bad = J
-                    break
-        if bad is not None:
-            break
-    report.add("nonzero_with_unit_leading_term", bad is None,
-               f"node {bad}")
+    # a zero e fails too: its coefficient of T is 0
+    bad = next((J for J in range(k)
+                if _leading_term_fault(lat, es[J], data[J].T, J, "e")), None)
+    report.add("nonzero_with_unit_leading_term", bad is None, f"node {bad}")
 
     report.add("count_equals_lattice", len(es) == k,
                f"{len(es)} idempotents for {k} nodes")
 
-    bad = None
-    for J in range(k):
-        for K in range(k):
-            if not lat.preceq(J, K) and not (sys.data[J].z * sys.data[K].z).is_zero():
-                bad = (J, K)
-                break
-        if bad:
-            break
+    bad = _first_pair(k, lambda J, K: not lat.preceq(J, K)
+                      and not (data[J].z * data[K].z).is_zero())
     report.add("z_orthogonality", bad is None,
-               bad and f"z_J * z_K != 0 at {bad} with J not preceq K")
+               f"z_J * z_K != 0 at {bad} with J not preceq K")
 
-    bad = None
-    for J in range(k):
-        for K in range(k):
-            if not lat.preceq(J, K) and not (sys.data[J].P * sys.data[K].P).is_zero():
-                bad = (J, K)
-                break
-        if bad:
-            break
+    bad = _first_pair(k, lambda J, K: not lat.preceq(J, K)
+                      and not (data[J].P * data[K].P).is_zero())
     report.add("p_orthogonality", bad is None,
-               bad and f"P_J * P_K != 0 at {bad} with J not preceq K")
+               f"P_J * P_K != 0 at {bad} with J not preceq K")
 
-    bad = None
-    for K in range(k):
-        for J in range(k):
-            if not lat.preceq(K, J) and not (es[K] * sys.data[J].P).is_zero():
-                bad = (K, J)
-                break
-        if bad:
-            break
+    bad = _first_pair(k, lambda K, J: not lat.preceq(K, J)
+                      and not (es[K] * data[J].P).is_zero())
     report.add("e_p_orthogonality", bad is None,
-               bad and f"e_K * P_J != 0 at {bad} with K not preceq J")
+               f"e_K * P_J != 0 at {bad} with K not preceq J")
 
     sys.verification = report
     return report

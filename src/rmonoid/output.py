@@ -42,6 +42,11 @@ def element_terms(m: Monoid, elem) -> list[dict]:
     return [{"word": render_word(m, w), "coeff": c} for w, c in items]
 
 
+def _dot_quote(s: str) -> str:
+    """Escape a label for a double-quoted DOT string."""
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def node_label(lat: Semilattice, J: int) -> str:
     names = [lat.monoid.gen_names[gi] for gi in lat.generator_label(J)]
     return "{" + ",".join(names) + "}"
@@ -131,9 +136,8 @@ def hasse_edges(lat: Semilattice) -> list[tuple[int, int]]:
 def dot_hasse(lat: Semilattice) -> str:
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for nd in lat.nodes:
-        lines.append(
-            f'  n{nd.node_id} [label="{node_label(lat, nd.node_id)}"];'
-        )
+        label = _dot_quote(node_label(lat, nd.node_id))
+        lines.append(f'  n{nd.node_id} [label="{label}"];')
     for a, b in hasse_edges(lat):
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
@@ -145,12 +149,13 @@ def dot_cayley(m: Monoid) -> str:
     lines = ["digraph cayley {"]
     for x in range(m.size):
         w = element_word(m, x) or "1"
-        lines.append(f'  e{x} [label="{w}"];')
+        lines.append(f'  e{x} [label="{_dot_quote(w)}"];')
     for x in range(m.size):
         for gi in range(len(m.generators)):
             y = m.gen_step(x, gi)
             if y != x:
-                lines.append(f'  e{x} -> e{y} [label="{m.gen_names[gi]}"];')
+                lines.append(f'  e{x} -> e{y} '
+                             f'[label="{_dot_quote(m.gen_names[gi])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

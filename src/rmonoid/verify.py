@@ -30,8 +30,7 @@ SAMPLE_SEED = 987654321
 BRUTE_FORCE_BOUND = 200
 
 
-def check_omega_identities(m: Monoid, pair_limit: int = PAIR_LIMIT,
-                           seed: int = SAMPLE_SEED):
+def check_omega_identities(m: Monoid):
     """The seven idempotent-power identities over element pairs.
 
     Only valid for R-trivial monoids. Exhaustive when n^2 stays under the
@@ -39,12 +38,12 @@ def check_omega_identities(m: Monoid, pair_limit: int = PAIR_LIMIT,
     """
     n = m.size
     idem = m.idempotent_power
-    if n * n <= pair_limit:
+    if n * n <= PAIR_LIMIT:
         pairs = ((x, y) for x in range(n) for y in range(n))
     else:
-        rng = random.Random(seed)
+        rng = random.Random(SAMPLE_SEED)
         pairs = ((rng.randrange(n), rng.randrange(n))
-                 for _ in range(pair_limit))
+                 for _ in range(PAIR_LIMIT))
     for x, y in pairs:
         xy = m.mult(x, y)
         w = idem(xy)
@@ -69,8 +68,19 @@ def _brute_force_r_trivial(m: Monoid) -> bool:
     return len(ideals) == m.size
 
 
-def run_full_suite(m: Monoid, mode: str = "auto",
-                   pair_limit: int = PAIR_LIMIT) -> Report:
+def _p_by_summation(z: AlgebraElement, n_z: int) -> AlgebraElement:
+    """Sum over k <= N of (k+1) (1-z)^k z^2, which the closed form of P
+    (general mode) must equal."""
+    w = one(z.monoid) - z
+    total = AlgebraElement(z.monoid, {})
+    term = z * z
+    for k in range(n_z + 1):
+        total = total + term.scale(k + 1)
+        term = w * term
+    return total
+
+
+def run_full_suite(m: Monoid) -> Report:
     """Run everything; raises NotRTrivial for inputs outside scope."""
     report = Report()
     order = weak_preorder(m)
@@ -95,7 +105,7 @@ def run_full_suite(m: Monoid, mode: str = "auto",
     ok, bad = check_left_absorption(m, order)
     report.add("left_absorption", ok, f"xyz = x but xy != x at {bad}")
 
-    ok, bad = check_omega_identities(m, pair_limit)
+    ok, bad = check_omega_identities(m)
     report.add("omega_identities", ok,
                bad and f"identity {bad[2]} fails at pair {bad[:2]}")
 
@@ -115,8 +125,15 @@ def run_full_suite(m: Monoid, mode: str = "auto",
     if jtriv:
         report.add("j_trivial_implies_r_trivial", order.is_partial_order)
 
-    sys = e_system(lat, mode=mode, cross_check=True)
-    report.add("p_closed_form_matches_summation", True)
+    sys = e_system(lat)
+    # only the general mode builds P from the closed form
+    bad = None
+    if sys.mode_used == "general":
+        bad = next((nd.node_id for nd in sys.data
+                    if _p_by_summation(nd.z, nd.N_z) != nd.P), None)
+    report.add("p_closed_form_matches_summation", bad is None,
+               f"closed form of P at node {bad} disagrees with the "
+               f"truncated summation")
 
     bad = None
     for nd in sys.data:

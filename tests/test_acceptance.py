@@ -11,9 +11,9 @@ import pytest
 
 from rmonoid import (StabilizationError, basis, build_free_lrb, build_hecke_a,
                      build_semilattice, e_system, from_coeffs, from_table,
-                     one, power_until_stable, verify_system, weak_preorder)
+                     node_data, one, power_until_stable, verify_system,
+                     weak_preorder)
 from rmonoid.cli import main as cli_main
-from rmonoid.norton import a_element, p_element, t_element, z_element
 from rmonoid.verify import run_full_suite
 
 from hecke_reference_data import EXPECTED
@@ -131,17 +131,18 @@ def test_criterion_4_hecke6_norton_element():
         lat = build_semilattice(m, order)
         nodes = subset_nodes(lat)
         J = nodes[(1, 4, 5)]
-        assert t_element(lat, J) == hecke_elt(m, "1454")   # T1 T4 T5 T4
-        A, _ = a_element(lat, J)
+        rec = node_data(lat, J, mode="general")
+        assert rec.T == hecke_elt(m, "1454")   # T1 T4 T5 T4
+        A = rec.A
         t2, t3 = basis(m, m.generators[1]), basis(m, m.generators[2])
         assert A == (1 - t2) * (1 - t3) * (1 - t2)
-        z = z_element(lat, J)
+        z = rec.z
         assert z == A * basis(m, hecke_elt(m, "1454"))
         zk = z
         for k in range(1, 21):
             assert zk * zk != zk, f"z^{k} is idempotent"
             zk = zk * z
-        _, n_z = p_element(lat, J, mode="general")
+        n_z = rec.N_z
         w = one(m) - z
         acc = z * z
         for _ in range(n_z):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rmonoid.cli import main
 
 LRB2 = '{"kind":"free_lrb","k":2,"names":["a","b"]}'
@@ -123,3 +125,38 @@ def test_spec_from_file(tmp_path, capsys):
     path.write_text(LRB2)
     assert main(["analyze", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["monoid"]["size"] == 5
+
+
+def test_table_cap_exceeded_exit_4(capsys):
+    spec = '{"kind":"table","table":[[0,1],[1,1]],"cap":1}'
+    assert main(["analyze", spec]) == 4
+    assert "cap exceeded" in capsys.readouterr().err
+    assert main(["analyze", spec.replace('"cap":1', '"cap":2')]) == 0
+
+
+def test_duplicate_generator_names_exit_3(capsys):
+    spec = '{"kind":"free_lrb","k":2,"names":["a","a"]}'
+    assert main(["idempotents", spec]) == 3
+    assert "input error: names:" in capsys.readouterr().err
+
+
+def test_spec_path_is_directory_exit_3(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_spec_file_not_utf8_exit_3(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{"kind":"free_lrb","k":2,"names":["\xff","b"]}')
+    assert main(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--dot", "--cayley"])
+def test_unwritable_output_path_exit_3(tmp_path, capsys, flag):
+    target = tmp_path / "no-such-dir" / "out.dot"
+    assert main(["lattice", MATRIX, flag, str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1

@@ -73,8 +73,8 @@ def test_node_invariants(matrix_monoid, lrb2, hecke4):
             assert nd.ideal == tuple(sorted({m.mult(s, e)
                                              for s in range(m.size)}))
             # T of the node is idempotent with content exactly the node
-            from rmonoid import t_element
-            T = t_element(lat, nd.node_id)
+            from rmonoid import node_data
+            T = node_data(lat, nd.node_id).T
             assert m.mult(T, T) == T
             assert lat.content(T) == nd.node_id
 

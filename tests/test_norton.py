@@ -1,8 +1,7 @@
-from rmonoid import (basis, build_semilattice, e_system, from_coeffs, one,
-                     t_element, b_element, a_element, z_element, p_element,
-                     verify_system, weak_preorder)
-from rmonoid.norton import node_data
+from rmonoid import (basis, build_semilattice, e_system, from_coeffs,
+                     node_data, one, verify_system, weak_preorder)
 from rmonoid.output import system_payload, to_json
+from rmonoid.verify import _p_by_summation
 
 from conftest import hecke_elt, subset_nodes
 from oracle import naive_system
@@ -11,20 +10,20 @@ from oracle import naive_system
 def test_t_element_lrb(lrb2):
     lat = build_semilattice(lrb2)
     nodes = subset_nodes(lat)
-    assert t_element(lat, nodes[()]) == lrb2.identity
-    assert t_element(lat, nodes[(1,)]) == 1          # a
-    assert t_element(lat, nodes[(2,)]) == 2          # b
-    assert t_element(lat, nodes[(1, 2)]) == 3        # (ab)^omega = ab
+    assert node_data(lat, nodes[()]).T == lrb2.identity
+    assert node_data(lat, nodes[(1,)]).T == 1        # a
+    assert node_data(lat, nodes[(2,)]).T == 2        # b
+    assert node_data(lat, nodes[(1, 2)]).T == 3      # (ab)^omega = ab
 
 
 def test_t_element_hecke5(hecke5):
     m = hecke5
     lat = build_semilattice(m)
     nodes = subset_nodes(lat)
-    assert t_element(lat, nodes[(1, 2, 3, 4)]) == hecke_elt(m, "1234123121")
-    assert t_element(lat, nodes[(1, 2, 4)]) == hecke_elt(m, "1214")
-    assert t_element(lat, nodes[(1, 2)]) == hecke_elt(m, "121")
-    assert t_element(lat, nodes[()]) == m.identity
+    assert node_data(lat, nodes[(1, 2, 3, 4)]).T == hecke_elt(m, "1234123121")
+    assert node_data(lat, nodes[(1, 2, 4)]).T == hecke_elt(m, "1214")
+    assert node_data(lat, nodes[(1, 2)]).T == hecke_elt(m, "121")
+    assert node_data(lat, nodes[()]).T == m.identity
 
 
 def test_b_element_lrb(lrb2):
@@ -32,9 +31,9 @@ def test_b_element_lrb(lrb2):
     lat = build_semilattice(m)
     nodes = subset_nodes(lat)
     a, b = basis(m, 1), basis(m, 2)
-    assert b_element(lat, nodes[()]) == (1 - a) * (1 - b)
-    assert b_element(lat, nodes[(1,)]) == 1 - b
-    assert b_element(lat, nodes[(1, 2)]) == one(m)   # empty product
+    assert node_data(lat, nodes[()]).B == (1 - a) * (1 - b)
+    assert node_data(lat, nodes[(1,)]).B == 1 - b
+    assert node_data(lat, nodes[(1, 2)]).B == one(m)   # empty product
 
 
 def test_b_element_hecke5(hecke5):
@@ -42,8 +41,8 @@ def test_b_element_hecke5(hecke5):
     lat = build_semilattice(m)
     nodes = subset_nodes(lat)
     t3, t4 = basis(m, m.generators[2]), basis(m, m.generators[3])
-    assert b_element(lat, nodes[(1, 2)]) == (1 - t3) * (1 - t4)
-    assert b_element(lat, nodes[(1, 2, 3, 4)]) == one(m)
+    assert node_data(lat, nodes[(1, 2)]).B == (1 - t3) * (1 - t4)
+    assert node_data(lat, nodes[(1, 2, 3, 4)]).B == one(m)
 
 
 def test_a_element_values(lrb2, hecke5):
@@ -51,31 +50,30 @@ def test_a_element_values(lrb2, hecke5):
     lat = build_semilattice(m)
     nodes = subset_nodes(lat)
     a, b = basis(m, 1), basis(m, 2)
-    A, n_b = a_element(lat, nodes[()])
-    assert A == 1 - a - b + a * b and n_b == 1       # B already idempotent
-    A, n_b = a_element(lat, nodes[(1,)])
-    assert A == 1 - b and n_b == 1
-    A, n_b = a_element(lat, nodes[(1, 2)])
-    assert A == one(m) and n_b == 1
+    rec = node_data(lat, nodes[()])
+    assert rec.A == 1 - a - b + a * b and rec.N_B == 1   # B already idempotent
+    rec = node_data(lat, nodes[(1,)])
+    assert rec.A == 1 - b and rec.N_B == 1
+    rec = node_data(lat, nodes[(1, 2)])
+    assert rec.A == one(m) and rec.N_B == 1
 
     h = hecke5
     lath = build_semilattice(h)
     nh = subset_nodes(lath)
     t3, t4 = basis(h, h.generators[2]), basis(h, h.generators[3])
-    A, _ = a_element(lath, nh[(1, 2)])
-    assert A == (1 - t3) * (1 - t4) * (1 - t3)
+    assert node_data(lath, nh[(1, 2)]).A == (1 - t3) * (1 - t4) * (1 - t3)
 
 
 def test_z_element_values(lrb2, hecke5):
     m = lrb2
     lat = build_semilattice(m)
     nodes = subset_nodes(lat)
-    assert z_element(lat, nodes[(1,)]) == basis(m, 1) - basis(m, 4)  # a - ba
+    assert node_data(lat, nodes[(1,)]).z == basis(m, 1) - basis(m, 4)  # a - ba
     h = hecke5
     lath = build_semilattice(h)
     nh = subset_nodes(lath)
     top = nh[(1, 2, 3, 4)]
-    assert z_element(lath, top) == basis(h, hecke_elt(h, "1234123121"))
+    assert node_data(lath, top).z == basis(h, hecke_elt(h, "1234123121"))
 
 
 def test_z_leading_coefficient(lrb2, matrix_monoid, hecke4):
@@ -83,8 +81,8 @@ def test_z_leading_coefficient(lrb2, matrix_monoid, hecke4):
         lat = build_semilattice(m)
         for nd in lat.nodes:
             J = nd.node_id
-            T = t_element(lat, J)
-            z = z_element(lat, J)
+            rec = node_data(lat, J)
+            T, z = rec.T, rec.z
             assert z.coefficient(T) == 1
             for y in z.coeffs:
                 if y != T:
@@ -97,23 +95,25 @@ def test_p_element_lrb(lrb2):
     lat = build_semilattice(m)
     nodes = subset_nodes(lat)
     a, b = basis(m, 1), basis(m, 2)
-    P, _ = p_element(lat, nodes[(1,)], mode="general", cross_check=True)
-    assert P == basis(m, 1) - basis(m, 3)            # z^2 = a - ab
-    P, _ = p_element(lat, nodes[()], mode="general", cross_check=True)
-    assert P == 1 - a - b + a * b
+    rec = node_data(lat, nodes[(1,)], mode="general")
+    assert rec.P == basis(m, 1) - basis(m, 3)            # z^2 = a - ab
+    assert rec.P == _p_by_summation(rec.z, rec.N_z)
+    rec = node_data(lat, nodes[()], mode="general")
+    assert rec.P == 1 - a - b + a * b
+    assert rec.P == _p_by_summation(rec.z, rec.N_z)
     # z idempotent at the top: P = z in both modes
     z_top = basis(m, 3)
     for mode in ("general", "jtrivial"):
-        P, _ = p_element(lat, nodes[(1, 2)], mode=mode)
-        assert P == z_top
+        assert node_data(lat, nodes[(1, 2)], mode=mode).P == z_top
 
 
 def test_p_idempotent_everywhere(matrix_monoid, lrb2, hecke4):
     for m in (matrix_monoid, lrb2, hecke4):
         lat = build_semilattice(m)
         for nd in lat.nodes:
-            P, _ = p_element(lat, nd.node_id, mode="general", cross_check=True)
-            assert P * P == P
+            rec = node_data(lat, nd.node_id, mode="general")
+            assert rec.P * rec.P == rec.P
+            assert rec.P == _p_by_summation(rec.z, rec.N_z)
 
 
 def test_vanishing_exponent_bounded(matrix_monoid, lrb2, hecke4, hecke5):
@@ -121,8 +121,8 @@ def test_vanishing_exponent_bounded(matrix_monoid, lrb2, hecke4, hecke5):
         order = weak_preorder(m)
         lat = build_semilattice(m, order)
         for nd in lat.nodes:
-            z = z_element(lat, nd.node_id)
-            _, n_z = p_element(lat, nd.node_id, mode="general")
+            rec = node_data(lat, nd.node_id, mode="general")
+            z, n_z = rec.z, rec.N_z
             assert n_z <= order.chain_length + 1
             # explicit vanishing re-check
             w = one(m) - z
@@ -136,7 +136,7 @@ def test_geometric_series_identity(lrb2, matrix_monoid):
     for m in (lrb2, matrix_monoid):
         lat = build_semilattice(m)
         for nd in lat.nodes:
-            z = z_element(lat, nd.node_id)
+            z = node_data(lat, nd.node_id).z
             w = one(m) - z
             for N in range(5):
                 geom = sum((w ** n for n in range(N + 1)), one(m) * 0)
@@ -188,7 +188,7 @@ def test_e_system_matches_naive_oracle(matrix_monoid, lrb2, hecke3, hecke4):
 def test_full_verification_reports(matrix_monoid, lrb2, trivial, hecke4):
     for m in (matrix_monoid, lrb2, trivial, hecke4):
         lat = build_semilattice(m)
-        sys_ = e_system(lat, mode="auto", cross_check=True)
+        sys_ = e_system(lat, mode="auto")
         report = verify_system(lat, sys_)
         assert report.passed, report.lines()
         assert sys_.verification is report
@@ -207,7 +207,7 @@ def test_t_absorbs_low_content(matrix_monoid, lrb2, hecke4):
         lat = build_semilattice(m)
         for nd in lat.nodes:
             J = nd.node_id
-            T = t_element(lat, J)
+            T = node_data(lat, J).T
             for x in range(m.size):
                 if lat.preceq(lat.content(x), J):
                     assert m.mult(T, x) == T
@@ -218,8 +218,8 @@ def test_high_content_generators_kill_A_and_BN(matrix_monoid, lrb2, hecke4):
         lat = build_semilattice(m)
         for nd in lat.nodes:
             J = nd.node_id
-            B = b_element(lat, J)
-            A, n_b = a_element(lat, J)
+            rec = node_data(lat, J)
+            B, A, n_b = rec.B, rec.A, rec.N_B
             BN = one(m)
             for _ in range(n_b):
                 BN = BN * B
@@ -237,7 +237,7 @@ def test_terms_of_bB_strictly_increase(matrix_monoid, lrb2, hecke4):
         lat = build_semilattice(m, order)
         for nd in lat.nodes:
             J = nd.node_id
-            B = b_element(lat, J)
+            B = node_data(lat, J).B
             outside = [m.idempotent_power(g) for g in m.generators
                        if not lat.preceq(lat.content(g), J)]
             for b in range(m.size):
@@ -257,17 +257,6 @@ def test_jtrivial_and_general_agree(hecke3, hecke4, matrix_monoid):
             assert gen.data[J].P == jtr.data[J].P
 
 
-def test_node_data_consistency(lrb2):
-    lat = build_semilattice(lrb2)
-    for nd in lat.nodes:
-        rec = node_data(lat, nd.node_id, mode="general", cross_check=True)
-        assert rec.T == t_element(lat, nd.node_id)
-        assert rec.B == b_element(lat, nd.node_id)
-        assert rec.z == z_element(lat, nd.node_id)
-        P, n_z = p_element(lat, nd.node_id, mode="general")
-        assert rec.P == P and rec.N_z == n_z
-
-
 def test_duplicate_generators_full_pipeline():
     # repeated and identity generators stay in the fixed order and only
     # contribute idempotent factors; the system must still verify
@@ -277,6 +266,36 @@ def test_duplicate_generators_full_pipeline():
     h = Transformation((0, 1, 1))
     m = close([Transformation.identity(3), g, g, h], names="e f f2 h".split())
     assert run_full_suite(m).passed
+
+
+def _corrupt_one_p(monkeypatch, node):
+    """Make the suite's e_system return a system whose P at `node` is doubled."""
+    from rmonoid import verify
+
+    def corrupted(lat, mode="auto"):
+        sys_ = e_system(lat, mode)
+        sys_.data[node].P = sys_.data[node].P.scale(2)
+        return sys_
+    monkeypatch.setattr(verify, "e_system", corrupted)
+
+
+def test_p_closed_form_check_can_fail(lrb2, monkeypatch):
+    from rmonoid.verify import run_full_suite
+    lines = run_full_suite(lrb2).lines()
+    assert "PASS  p_closed_form_matches_summation" in lines
+    _corrupt_one_p(monkeypatch, 1)
+    report = run_full_suite(lrb2)
+    assert not report.passed
+    assert ("FAIL  p_closed_form_matches_summation  (closed form of P at "
+            "node 1 disagrees with the truncated summation)") in report.lines()
+
+
+def test_p_closed_form_failure_makes_verify_exit_1(monkeypatch, capsys):
+    from rmonoid.cli import main
+    _corrupt_one_p(monkeypatch, 0)
+    assert main(["verify", '{"kind":"free_lrb","k":2}']) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  p_closed_form_matches_summation" in out
 
 
 def test_deterministic_serialization(matrix_monoid):

@@ -3,7 +3,8 @@ import json
 
 import rmonoid.algebra
 import rmonoid.monoid
-from rmonoid import build_semilattice, e_system, from_coeffs, verify_system
+from rmonoid import (Transformation, build_semilattice, close, e_system,
+                     from_coeffs, verify_system)
 from rmonoid.output import (dot_cayley, dot_hasse, element_terms, hasse_edges,
                             render_word, system_payload, to_json)
 
@@ -73,3 +74,18 @@ def test_dot_exports(lrb2):
     assert hasse.count("->") == 4
     cay = dot_cayley(lrb2)
     assert 'label="a"' in cay and 'label="b"' in cay
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    m = close([Transformation((0, 2, 2)), Transformation((1, 1, 2))],
+              names=['a"', "b\\"])
+    hasse = dot_hasse(build_semilattice(m))
+    assert r'label="{a\"}"' in hasse and r'label="{b\\}"' in hasse
+    assert r'label="{a\",b\\}"' in hasse
+    cay = dot_cayley(m)
+    assert r'[label="a\""];' in cay and r'[label="b\\"];' in cay
+    assert r'label="a\"-b\\"' in cay
+    # every quote left in a label line is either a delimiter or escaped
+    for line in (hasse + cay).splitlines():
+        unescaped = line.replace("\\\\", "").replace('\\"', "")
+        assert unescaped.count('"') in (0, 2), line
