@@ -21,7 +21,7 @@ from .monoid import (DEFAULT_CAP, Monoid, Transformation, close, compose,
 from .norton import (IdempotentSystem, NortonData, e_system, node_data,
                      verify_system)
 from .order import (OrderRelation, check_left_absorption, is_j_trivial,
-                    is_r_trivial, weak_preorder)
+                    weak_preorder)
 from .verify import run_full_suite
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "from_table",
     "IdempotentSystem", "NortonData", "e_system", "node_data",
     "verify_system",
-    "OrderRelation", "check_left_absorption", "is_j_trivial", "is_r_trivial",
-    "weak_preorder",
+    "OrderRelation", "check_left_absorption", "is_j_trivial", "weak_preorder",
     "run_full_suite",
 ]

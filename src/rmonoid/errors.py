@@ -20,13 +20,13 @@ class SpecError(RMonoidError, ValueError):
 
 
 class CapExceeded(RMonoidError, RuntimeError):
-    """Monoid closure grew past the configured element cap."""
+    """A monoid has more elements than the configured element cap."""
 
     def __init__(self, cap: int, partial_size: int):
         self.cap = cap
         self.partial_size = partial_size
         super().__init__(
-            f"closure exceeded cap of {cap} elements ({partial_size} found so far)"
+            f"element cap of {cap} exceeded: at least {partial_size} elements"
         )
 
 

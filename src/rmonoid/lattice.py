@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, NotRTrivial
 from .monoid import Monoid
-from .order import OrderRelation, iter_bits, weak_preorder
+from .order import (OrderRelation, _left_graph, _reach, iter_bits,
+                    weak_preorder)
 from .reporting import Report
 
 __all__ = [
@@ -127,15 +128,16 @@ def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilatt
         raise NotRTrivial(order.witness)
     n = m.size
 
+    # S*e is what e reaches in the left Cayley graph
+    left_ideal = _reach(_left_graph(m))[1]
     nodes: list[LatticeNode] = []
     ideal_masks: list[int] = []
     mask_to_node: dict[int, int] = {}
+    node_of_idem: dict[int, int] = {}
     for e in range(n):
         if m.mult(e, e) != e:
             continue
-        mask = 0
-        for s in range(n):
-            mask |= 1 << m.row(s)[e]
+        mask = left_ideal[e]
         if mask not in mask_to_node:
             node_id = len(nodes)
             mask_to_node[mask] = node_id
@@ -145,6 +147,7 @@ def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilatt
                 witness=e,
             ))
             ideal_masks.append(mask)
+        node_of_idem[e] = mask_to_node[mask]
 
     k = len(nodes)
     full_mask = (1 << n) - 1
@@ -161,23 +164,17 @@ def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilatt
                 pa |= 1 << b
         preceq_masks[a] = pa
 
-    # content: S*x^omega, memoized per idempotent power, then verified
-    # against the fixed-point characterization in one table sweep
-    node_of_idem: dict[int, int] = {}
+    # content: S*x^omega, then verified against the fixed-point
+    # characterization in one table sweep, which reads rows rather than
+    # the left Cayley graph
     content = [0] * n
     for x in range(n):
         xo = m.idempotent_power(x)
         node = node_of_idem.get(xo)
         if node is None:
-            mask = 0
-            for s in range(n):
-                mask |= 1 << m.row(s)[xo]
-            node = mask_to_node.get(mask)
-            if node is None:
-                raise ConsistencyError(
-                    f"ideal of idempotent power {xo} is not a lattice node"
-                )
-            node_of_idem[xo] = node
+            raise ConsistencyError(
+                f"ideal of idempotent power {xo} is not a lattice node"
+            )
         content[x] = node
     fix_mask = [0] * n
     for a in range(n):

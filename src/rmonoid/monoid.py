@@ -55,9 +55,6 @@ class Transformation:
     def identity(cls, degree: int) -> "Transformation":
         return cls(tuple(range(degree)))
 
-    def is_identity(self) -> bool:
-        return all(q == p for p, q in enumerate(self.images))
-
 
 def compose(s: Transformation, t: Transformation) -> Transformation:
     """Apply `s` first, then `t` (points act on the right).
@@ -187,9 +184,6 @@ class Monoid:
         result = seq[exp - 1]
         self._idem_power[x] = result
         return result
-
-    def is_idempotent(self, x: int) -> bool:
-        return self.mult(x, x) == x
 
 
 def _bfs_build(identity_key, gen_keys, step, cap):

@@ -1,22 +1,23 @@
 """
 The weak preorder u <= v (some w has uw = v), R- and J-triviality.
 
-Reachability sets are kept as int bitmasks: bit y of `up[x]` is set when
-x <= y. Bitmask rows keep the O(n^2) relation cheap even at a few hundred
-elements.
+u <= v is reachability in the right Cayley graph x -> x*g, and S*x is what
+x reaches in the left one, x -> g*x. One Tarjan pass finds a graph's
+strongly connected components and reachability bitmasks (bit y of `up[x]`
+set when x <= y) in O(n*k) steps plus the mask ORs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .monoid import Monoid
 
 __all__ = [
-    "OrderRelation", "RTrivialVerdict", "AbsorptionVerdict",
-    "weak_preorder", "is_r_trivial", "is_j_trivial", "check_left_absorption",
-    "iter_bits",
+    "OrderRelation", "AbsorptionVerdict",
+    "weak_preorder", "is_j_trivial", "check_left_absorption", "iter_bits",
 ]
 
 
@@ -46,17 +47,6 @@ class OrderRelation:
     def leq(self, x: int, y: int) -> bool:
         return (self.up[x] >> y) & 1 == 1
 
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.leq(x, y)
-
-
-class RTrivialVerdict(NamedTuple):
-    ok: bool
-    witness: tuple[int, int] | None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 class AbsorptionVerdict(NamedTuple):
     ok: bool
@@ -66,85 +56,87 @@ class AbsorptionVerdict(NamedTuple):
         return self.ok
 
 
+def _reach(succ: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+    """Component, reachability bitmask and height per vertex of x -> succ[x].
+
+    The height is the number of components on a longest path from the
+    vertex. Iterative Tarjan emits sink components first, so the masks and
+    heights of a component's successors are final when it is emitted.
+    """
+    n = len(succ)
+    index, low, comp = [-1] * n, [0] * n, [-1] * n    # comp -1: on the stack
+    masks: list[int] = []
+    heights: list[int] = []
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter = counter + 1
+        work = [(root, iter(succ[root]), len(stack))]
+        stack.append(root)
+        while work:
+            v, edges, at = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter = counter + 1
+                    work.append((w, iter(succ[w]), len(stack)))
+                    stack.append(w)
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != index[v]:
+                    continue
+                c = len(masks)
+                members = stack[at:]
+                del stack[at:]
+                mask = height = 0
+                for w in members:
+                    comp[w] = c
+                    mask |= 1 << w
+                for w in members:
+                    for x in succ[w]:
+                        if comp[x] != c:
+                            mask |= masks[comp[x]]
+                            height = max(height, heights[comp[x]])
+                masks.append(mask)
+                heights.append(height + 1)
+    return comp, [masks[c] for c in comp], [heights[c] for c in comp]
+
+
+def _left_graph(m: Monoid) -> list[list[int]]:
+    """Successor lists of x -> g*x, read off the k generator rows."""
+    rows = [m.row(g) for g in m.generators]
+    return [[r[x] for r in rows] for x in range(m.size)]
+
+
 def weak_preorder(m: Monoid) -> OrderRelation:
     """Compute u <= v as reachability in the right Cayley graph."""
-    n = m.size
-    k = len(m.generators)
-    up = [0] * n
-    for x in range(n):
-        seen = 1 << x
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for gi in range(k):
-                    v = m.gen_step(u, gi)
-                    if not (seen >> v) & 1:
-                        seen |= 1 << v
-                        nxt.append(v)
-            frontier = nxt
-        up[x] = seen
-
+    n, k = m.size, len(m.generators)
+    comp, up, height = _reach(
+        [[m.gen_step(x, gi) for gi in range(k)] for x in range(n)])
+    sizes = Counter(comp)
+    cyclic = [x for x in range(n) if sizes[comp[x]] > 1]
     witness = None
-    for x in range(n):
-        for y in iter_bits(up[x]):
-            if y != x and (up[y] >> x) & 1:
-                witness = (min(x, y), max(x, y))
-                break
-        if witness:
-            break
-
-    chain = None
-    if witness is None:
-        # strict order is a DAG; height by decreasing upset size is a
-        # valid reverse-topological sweep (x < y forces up[y] subset up[x])
-        height = [1] * n
-        for x in sorted(range(n), key=lambda t: up[t].bit_count()):
-            best = 0
-            for y in iter_bits(up[x]):
-                if y != x and height[y] > best:
-                    best = height[y]
-            height[x] = best + 1
-        chain = max(height)
-
+    if cyclic:
+        # the smallest id in any cyclic component, and its component's next id
+        x = cyclic[0]
+        witness = (x, next(y for y in cyclic if y > x and comp[y] == comp[x]))
     return OrderRelation(
-        size=n, up=up, is_partial_order=witness is None,
-        witness=witness, chain_length=chain,
+        size=n, up=up, is_partial_order=witness is None, witness=witness,
+        chain_length=max(height) if witness is None else None,
     )
 
 
-def is_r_trivial(m: Monoid, order: OrderRelation | None = None) -> RTrivialVerdict:
-    """True iff the weak preorder is antisymmetric."""
-    order = order if order is not None else weak_preorder(m)
-    return RTrivialVerdict(order.is_partial_order, order.witness)
-
-
-def principal_two_sided_ideals(m: Monoid) -> list[frozenset[int]]:
-    """SxS for every x, via closure under one-sided generator steps."""
-    n = m.size
-    gen_rows = [m.row(g) for g in m.generators]  # left steps x -> g*x
-    k = len(m.generators)
-    out = []
-    for x in range(n):
-        seen = 1 << x
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for gi in range(k):
-                    for v in (m.gen_step(u, gi), gen_rows[gi][u]):
-                        if not (seen >> v) & 1:
-                            seen |= 1 << v
-                            nxt.append(v)
-            frontier = nxt
-        out.append(frozenset(iter_bits(seen)))
-    return out
-
-
 def is_j_trivial(m: Monoid) -> bool:
-    """True iff all principal two-sided ideals SxS are distinct."""
-    ideals = principal_two_sided_ideals(m)
-    return len(set(ideals)) == m.size
+    """True iff R-trivial and the left Cayley graph has only single-vertex
+    components: J = R meet L in a finite monoid."""
+    return (weak_preorder(m).is_partial_order
+            and len(set(_reach(_left_graph(m))[0])) == m.size)
 
 
 def check_left_absorption(m: Monoid,

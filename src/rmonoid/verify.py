@@ -125,7 +125,7 @@ def run_full_suite(m: Monoid) -> Report:
     if jtriv:
         report.add("j_trivial_implies_r_trivial", order.is_partial_order)
 
-    sys = e_system(lat)
+    sys = e_system(lat, "jtrivial" if jtriv else "general")
     # only the general mode builds P from the closed form
     bad = None
     if sys.mode_used == "general":

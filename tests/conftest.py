@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rmonoid import (CapExceeded, Transformation, build_free_lrb,
-                     build_hecke_a, close, from_table, is_r_trivial)
+                     build_hecke_a, close, from_table, weak_preorder)
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +79,26 @@ def random_r_trivial_monoids(count: int, seed: int, points: int = 6,
             m = close(gens, cap=max_size)
         except CapExceeded:
             continue
-        if is_r_trivial(m).ok:
+        if weak_preorder(m).is_partial_order:
             out.append(m)
+    return out
+
+
+def random_transformation_monoids(count: int, seed: int, decreasing: bool,
+                                  points: int = 5, max_size: int = 40):
+    """Closures of 2 or 3 random maps of `points` points, at most
+    `max_size` elements each; the maps are order-decreasing (hence the
+    monoid R-trivial) when `decreasing`, and arbitrary otherwise."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        gens = [
+            Transformation(tuple(rng.randint(0, i if decreasing else points - 1)
+                                 for i in range(points)))
+            for _ in range(rng.choice((2, 3)))
+        ]
+        try:
+            out.append(close(gens, cap=max_size))
+        except CapExceeded:
+            continue
     return out

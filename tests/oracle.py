@@ -5,6 +5,11 @@ table, recomputes its own idempotent powers, uses the fixed-point
 characterization of content (never S*x^omega), and builds P through the
 truncated double summation rather than the closed form. It shares no code
 path with the production package, so agreement is meaningful evidence.
+
+The order-level structure (upsets, the non-antisymmetry witness, chain
+length, J-triviality, the left ideals S*e) is also defined here straight
+from the multiplication table, as the reference for the Cayley-graph
+component routine.
 """
 
 
@@ -109,3 +114,44 @@ def naive_system(table, identity, gens):
                 rest = vec_addmul(rest, -1, eK)
         results[J] = vec_mul(table, total, rest)
     return results
+
+
+# -- brute-force definitions of the order-level structure --------------------
+
+def upsets(table):
+    """u <= v iff u*w = v for some w: the upset of u is its row."""
+    return [frozenset(row) for row in table]
+
+
+def preorder_witness(up):
+    """The smallest x lying in a non-trivial class of the preorder, paired
+    with the smallest other element of its class; None if there is none."""
+    for x in range(len(up)):
+        for y in sorted(up[x]):
+            if y != x and x in up[y]:
+                return (min(x, y), max(x, y))
+    return None
+
+
+def longest_chain(up):
+    """Element count of a longest strictly increasing chain, or None when
+    the preorder is not antisymmetric."""
+    if preorder_witness(up) is not None:
+        return None
+    # x < y forces up[y] to be a proper subset of up[x]
+    height = {}
+    for x in sorted(range(len(up)), key=lambda t: len(up[t])):
+        height[x] = 1 + max((height[y] for y in up[x] if y != x), default=0)
+    return max(height.values())
+
+
+def left_ideal(table, x):
+    """S*x."""
+    return frozenset(row[x] for row in table)
+
+
+def is_j_trivial(table):
+    """All n principal two-sided ideals S*x*S are distinct."""
+    ideals = {frozenset().union(*(table[y] for y in left_ideal(table, x)))
+              for x in range(len(table))}
+    return len(ideals) == len(table)

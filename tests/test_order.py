@@ -1,6 +1,8 @@
-from rmonoid import (check_left_absorption, is_j_trivial, is_r_trivial,
-                     weak_preorder)
-from rmonoid.order import iter_bits, principal_two_sided_ideals
+import oracle
+from conftest import random_transformation_monoids
+from rmonoid import (build_free_lrb, build_semilattice, check_left_absorption,
+                     is_j_trivial, weak_preorder)
+from rmonoid.order import _reach, iter_bits
 from rmonoid.verify import check_omega_identities
 
 
@@ -38,19 +40,19 @@ def test_group2_preorder_not_antisymmetric(group2):
 
 
 def test_is_r_trivial_verdicts(matrix_monoid, lrb2, group2, trivial):
-    assert is_r_trivial(matrix_monoid).ok
-    assert is_r_trivial(lrb2).ok
-    assert is_r_trivial(trivial).ok
-    verdict = is_r_trivial(group2)
-    assert not verdict.ok
-    assert verdict.witness == (0, 1)
+    for m in (matrix_monoid, lrb2, trivial):
+        order = weak_preorder(m)
+        assert order.is_partial_order and order.witness is None
+    order = weak_preorder(group2)
+    assert not order.is_partial_order
+    assert order.witness == (0, 1)
 
 
 def test_r_trivial_matches_right_ideal_brute_force(matrix_monoid, lrb2,
                                                    hecke4, group2, trivial):
     for m in (matrix_monoid, lrb2, hecke4, group2, trivial):
         distinct = len({frozenset(m.row(x)) for x in range(m.size)}) == m.size
-        assert is_r_trivial(m).ok == distinct
+        assert weak_preorder(m).is_partial_order == distinct
 
 
 def test_chain_lengths(matrix_monoid, lrb2, trivial, hecke3):
@@ -71,17 +73,64 @@ def test_is_j_trivial(matrix_monoid, lrb2, hecke5, trivial, group2):
     assert not is_j_trivial(group2)
 
 
-def test_lrb_two_sided_ideals_collide(lrb2):
-    ideals = principal_two_sided_ideals(lrb2)
-    # ab and ba generate the same two-sided ideal {ab, ba}
-    assert ideals[3] == ideals[4] == frozenset({3, 4})
+def assert_structure_matches_oracle(m):
+    table = m.table()
+    up = oracle.upsets(table)
+    order = weak_preorder(m)
+    assert [frozenset(iter_bits(mask)) for mask in order.up] == up
+    assert order.witness == oracle.preorder_witness(up)
+    assert order.is_partial_order == (order.witness is None)
+    assert order.chain_length == oracle.longest_chain(up)
+    assert is_j_trivial(m) == oracle.is_j_trivial(table)
+    if order.is_partial_order:
+        lat = build_semilattice(m, order)
+        idempotents = [e for e in range(m.size) if table[e][e] == e]
+        for e in idempotents:
+            ideal = lat.nodes[lat.content(e)].ideal
+            assert frozenset(ideal) == oracle.left_ideal(table, e)
+        assert {frozenset(nd.ideal) for nd in lat.nodes} == {
+            oracle.left_ideal(table, e) for e in idempotents}
+
+
+def test_structure_matches_brute_force_on_fixtures(matrix_monoid, lrb2, hecke4,
+                                                   group2, trivial):
+    # in lrb2, ab and ba generate the same two-sided ideal {ab, ba}
+    assert not oracle.is_j_trivial(lrb2.table())
+    for m in (matrix_monoid, lrb2, hecke4, group2, trivial,
+              build_free_lrb(3)):
+        assert_structure_matches_oracle(m)
+
+
+def test_structure_matches_brute_force_on_random_monoids():
+    monoids = (random_transformation_monoids(100, seed=5150, decreasing=True)
+               + random_transformation_monoids(100, seed=5151,
+                                               decreasing=False))
+    for m in monoids:
+        assert_structure_matches_oracle(m)
+    # both verdicts of both triviality tests must occur
+    r_trivial = [weak_preorder(m).is_partial_order for m in monoids]
+    j_trivial = [is_j_trivial(m) for m in monoids]
+    assert 0 < sum(r_trivial) < len(monoids)
+    assert 0 < sum(j_trivial) < sum(r_trivial)
+
+
+def test_reach_on_long_path_and_cycle():
+    n = 20_000
+    comp, mask, height = _reach([[x + 1] for x in range(n - 1)] + [[]])
+    assert len(set(comp)) == n
+    assert height == [n - x for x in range(n)]
+    assert mask[0] == (1 << n) - 1 and mask[n - 1] == 1 << (n - 1)
+    comp, mask, height = _reach([[(x + 1) % n] for x in range(n)])
+    assert len(set(comp)) == 1
+    assert height == [1] * n
+    assert set(mask) == {(1 << n) - 1}
 
 
 def test_j_trivial_implies_r_trivial(matrix_monoid, lrb2, hecke4, group2,
                                      trivial):
     for m in (matrix_monoid, lrb2, hecke4, group2, trivial):
         if is_j_trivial(m):
-            assert is_r_trivial(m).ok
+            assert weak_preorder(m).is_partial_order
 
 
 def test_left_absorption(matrix_monoid, lrb2, hecke4, trivial):
