@@ -9,7 +9,8 @@ Command-line front end.
 The spec argument is JSON text, or a path to a file holding it. Exit
 codes: 0 success, 1 verification failure, 2 input not R-trivial, 3 parse
 or input error (including unreadable spec files and unwritable output
-files), 4 element cap exceeded.
+files), 4 element cap exceeded, 5 internal error (an unexpected exception,
+reported on one line).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_VERIFICATION = 1
 EXIT_NOT_R_TRIVIAL = 2
 EXIT_INPUT = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 
 def _read_spec_arg(arg: str):
@@ -69,7 +71,7 @@ def cmd_analyze(args) -> int:
     lat = build_semilattice(m, order)
     axioms = verify_weak_order_axioms(lat)
     payload = output.analyze_payload(
-        m, order, lat, axioms, j_trivial=is_j_trivial(m)
+        m, order, lat, axioms, j_trivial=is_j_trivial(m, order)
     )
     print(output.to_json(payload))
     return EXIT_OK if axioms.passed else EXIT_VERIFICATION
@@ -176,6 +178,9 @@ def main(argv=None) -> int:
     except (ConsistencyError, StabilizationError) as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

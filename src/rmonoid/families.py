@@ -15,13 +15,13 @@ plus an optional "cap" (element bound, default one million) everywhere.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ConsistencyError, SpecError
-from .monoid import DEFAULT_CAP, Monoid, Transformation, close, from_table
+from .monoid import (DEFAULT_CAP, Monoid, Transformation, _closure, close,
+                     from_table)
 
 __all__ = [
     "MonoidSpec", "parse_spec", "load",
@@ -36,61 +36,42 @@ def build_free_lrb(k: int, names: list[str] | None = None,
     """The free left regular band on k generators.
 
     Elements are the words with distinct letters (the empty word is the
-    identity); u*v appends the letters of v not already in u. Built through
-    a table: the word model is canonical and the size is exactly
-    sum over i of k!/(k-i)!.
+    identity); u*v appends the letters of v not already in u. Closed by BFS
+    over those words, generator g sending u to u*g: the size is exactly
+    sum over i of k!/(k-i)!, and ids run by length, then lexicographically.
     """
     if k < 1:
         raise SpecError("k", f"need k >= 1, got {k}")
     size = sum(math.perm(k, i) for i in range(k + 1))
     if size > cap:
         raise CapExceeded(cap, size)
-    words = [w for r in range(k + 1)
-             for w in itertools.permutations(range(k), r)]
-    index = {w: i for i, w in enumerate(words)}
-    table = []
-    for u in words:
-        seen = set(u)
-        table.append([
-            index[u + tuple(c for c in v if c not in seen)]
-            for v in words
-        ])
-    return from_table(
-        table, identity=0,
-        generators=[index[(c,)] for c in range(k)],
-        names=names or [f"g{i}" for i in range(k)],
-    )
+    return _closure((), k, lambda u, g: u if g in u else u + (g,), cap,
+                    names or None)
 
 
 def build_hecke_a(n: int, names: list[str] | None = None,
                   cap: int = DEFAULT_CAP) -> Monoid:
     """The 0-Hecke monoid of the symmetric group on n letters.
 
-    Realized as transformations of the n! permutations (in lexicographic
-    one-line order): generator i sends w to w*s_i when that adds an
-    inversion and fixes w otherwise. The monoid acts faithfully this way,
-    so the closure has exactly n! elements.
+    An element is keyed by the permutation it makes of the identity, in
+    one-line notation: generator i sends w to w*s_i (swapping positions i
+    and i+1) when that adds an inversion and fixes w otherwise. That
+    permutation determines the element, so the closure has exactly n!
+    elements.
     """
     if n < 2:
         raise SpecError("n", f"need n >= 2, got {n}")
     size = math.factorial(n)
     if size > cap:
         raise CapExceeded(cap, size)
-    perms = list(itertools.permutations(range(n)))
-    index = {w: i for i, w in enumerate(perms)}
-    gens = []
-    for i in range(n - 1):
-        images = []
-        for w in perms:
-            if w[i] < w[i + 1]:
-                sw = list(w)
-                sw[i], sw[i + 1] = sw[i + 1], sw[i]
-                images.append(index[tuple(sw)])
-            else:
-                images.append(index[w])
-        gens.append(Transformation(tuple(images)))
-    m = close(gens, cap=cap,
-              names=names or [f"T{i}" for i in range(1, n)])
+
+    def step(w, i):
+        if w[i] < w[i + 1]:
+            return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+        return w
+
+    m = _closure(tuple(range(n)), n - 1, step, cap,
+                 names or [f"T{i}" for i in range(1, n)])
     if m.size != size:
         raise ConsistencyError(
             f"0-Hecke closure produced {m.size} elements, expected {size}"

@@ -2,9 +2,10 @@
 Finite monoids with dense integer element ids.
 
 Elements are handles `0..size-1`; id 0 is always the identity for monoids
-built by :func:`close`. Each element carries the shortlex-least generator
-word that reaches it from the identity, so ids, words and all downstream
-output are reproducible for a fixed generator order.
+built by closure (:func:`close` and the built-in families). Each element
+carries the shortlex-least generator word that reaches it from the
+identity, so ids, words and all downstream output are reproducible for a
+fixed generator order.
 
 >>> g1 = Transformation((0, 2, 2))
 >>> g2 = Transformation((1, 1, 2))
@@ -83,8 +84,7 @@ class Monoid:
     """
 
     def __init__(self, *, size, identity, generators, gen_names, gen_step,
-                 parent, parent_gen, images=None, table=None,
-                 associativity_verified=True):
+                 parent, parent_gen, table=None, associativity_verified=True):
         self.size = size
         self.identity = identity
         self.generators = list(generators)
@@ -92,7 +92,6 @@ class Monoid:
         self._gen_step = gen_step          # per element: id of x * g_i
         self._parent = parent              # BFS tree: parent[x], None at identity
         self._parent_gen = parent_gen      # generator position used to reach x
-        self.images = images               # image tuples, when transformation-built
         self._rows = table if table is not None else [None] * size
         self._words: list[tuple[int, ...] | None] = [None] * size
         self._idem_power: dict[int, int] = {}
@@ -186,12 +185,12 @@ class Monoid:
         return result
 
 
-def _bfs_build(identity_key, gen_keys, step, cap):
-    """Generic closure by BFS over right multiplication by generators.
+def _bfs_build(identity_key, k, step, cap):
+    """Generic closure by BFS over right multiplication by k generators.
 
     `step(key, gi)` produces the canonical key of `key * g_i`. Returns the
-    discovery index map plus BFS tree arrays. Raises CapExceeded as soon as
-    the element count passes `cap`.
+    keys in discovery order plus BFS tree arrays. Raises CapExceeded as
+    soon as the element count passes `cap`.
     """
     index = {identity_key: 0}
     keys = [identity_key]
@@ -199,7 +198,6 @@ def _bfs_build(identity_key, gen_keys, step, cap):
     parent_gen = [None]
     gen_step = []
     pos = 0
-    k = len(gen_keys)
     while pos < len(keys):
         key = keys[pos]
         r = []
@@ -217,7 +215,29 @@ def _bfs_build(identity_key, gen_keys, step, cap):
             r.append(nid)
         gen_step.append(r)
         pos += 1
-    return index, keys, parent, parent_gen, gen_step
+    return keys, parent, parent_gen, gen_step
+
+
+def _closure(identity_key, k, step, cap, names) -> Monoid:
+    """The monoid generated by k generators acting on canonical keys.
+
+    `step(key, gi)` is the key of `key * g_i` and must determine the
+    element, so distinct keys are distinct elements. Ids follow BFS
+    discovery from the identity (id 0), and generator i is the element
+    1*g_i.
+    """
+    if names is not None and len(names) != k:
+        raise SpecError("names", "one name per generator required")
+    keys, parent, parent_gen, gen_step = _bfs_build(identity_key, k, step, cap)
+    return Monoid(
+        size=len(keys),
+        identity=0,
+        generators=gen_step[0],
+        gen_names=names or [f"g{i}" for i in range(k)],
+        gen_step=gen_step,
+        parent=parent,
+        parent_gen=parent_gen,
+    )
 
 
 def close(generators: list[Transformation], cap: int = DEFAULT_CAP,
@@ -236,27 +256,13 @@ def close(generators: list[Transformation], cap: int = DEFAULT_CAP,
             raise SpecError(
                 "generators", f"generator {i} has degree {g.degree} != {degree}"
             )
-    if names is not None and len(names) != len(generators):
-        raise SpecError("names", "one name per generator required")
     gen_images = [g.images for g in generators]
 
     def step(key, gi):
         gimg = gen_images[gi]
         return tuple(gimg[p] for p in key)
 
-    index, keys, parent, parent_gen, gen_step = _bfs_build(
-        tuple(range(degree)), gen_images, step, cap
-    )
-    return Monoid(
-        size=len(keys),
-        identity=0,
-        generators=[index[img] for img in gen_images],
-        gen_names=names or [f"g{i}" for i in range(len(generators))],
-        gen_step=gen_step,
-        parent=parent,
-        parent_gen=parent_gen,
-        images=tuple(keys),
-    )
+    return _closure(tuple(range(degree)), len(generators), step, cap, names)
 
 
 def from_table(table: list[list[int]], identity: int = 0,
@@ -310,8 +316,9 @@ def from_table(table: list[list[int]], identity: int = 0,
         raise SpecError("names", "one name per generator required")
 
     # BFS for words / reachability, reusing the table for steps
-    index, keys, parent, parent_gen, gen_step_sparse = _bfs_build(
-        identity, generators, lambda key, gi: table[key][generators[gi]], n + 1
+    keys, parent, parent_gen, _ = _bfs_build(
+        identity, len(generators), lambda key, gi: table[key][generators[gi]],
+        n + 1
     )
     if len(keys) != n:
         raise SpecError(

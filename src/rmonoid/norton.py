@@ -58,7 +58,7 @@ def _resolve_mode(lat: Semilattice, mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
-        return "jtrivial" if is_j_trivial(lat.monoid) else "general"
+        return "jtrivial" if is_j_trivial(lat.monoid, lat.order) else "general"
     return mode
 
 

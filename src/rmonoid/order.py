@@ -132,10 +132,11 @@ def weak_preorder(m: Monoid) -> OrderRelation:
     )
 
 
-def is_j_trivial(m: Monoid) -> bool:
+def is_j_trivial(m: Monoid, order: OrderRelation | None = None) -> bool:
     """True iff R-trivial and the left Cayley graph has only single-vertex
     components: J = R meet L in a finite monoid."""
-    return (weak_preorder(m).is_partial_order
+    order = order if order is not None else weak_preorder(m)
+    return (order.is_partial_order
             and len(set(_reach(_left_graph(m))[0])) == m.size)
 
 

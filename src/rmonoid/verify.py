@@ -121,7 +121,7 @@ def run_full_suite(m: Monoid) -> Report:
 
     report.extend(verify_weak_order_axioms(lat))
 
-    jtriv = is_j_trivial(m)
+    jtriv = is_j_trivial(m, order)
     if jtriv:
         report.add("j_trivial_implies_r_trivial", order.is_partial_order)
 

@@ -10,7 +10,17 @@ The order-level structure (upsets, the non-antisymmetry witness, chain
 length, J-triviality, the left ideals S*e) is also defined here straight
 from the multiplication table, as the reference for the Cayley-graph
 component routine.
+
+The two reference builders at the end construct the built-in families the
+long way, through the generic `close` and `from_table`: 0-Hecke as n-1
+transformations of the n! permutations, and the free left regular band as
+its full word table. The family builders, which close over permutations
+and distinct-letter words directly, must agree with them id for id.
 """
+
+import itertools
+
+from rmonoid import Transformation, close, from_table
 
 
 def vec_mul(table, u, v):
@@ -155,3 +165,42 @@ def is_j_trivial(table):
     ideals = {frozenset().union(*(table[y] for y in left_ideal(table, x)))
               for x in range(len(table))}
     return len(ideals) == len(table)
+
+
+# -- reference constructions of the built-in families ------------------------
+
+def hecke_a_by_transformations(n):
+    """0-Hecke monoid closed from n-1 transformations of degree n!.
+
+    Points are the permutations in lexicographic one-line order; generator
+    i sends w to w*s_i when that adds an inversion and fixes w otherwise.
+    """
+    perms = list(itertools.permutations(range(n)))
+    index = {w: i for i, w in enumerate(perms)}
+    gens = []
+    for i in range(n - 1):
+        images = []
+        for w in perms:
+            if w[i] < w[i + 1]:
+                sw = list(w)
+                sw[i], sw[i + 1] = sw[i + 1], sw[i]
+                images.append(index[tuple(sw)])
+            else:
+                images.append(index[w])
+        gens.append(Transformation(tuple(images)))
+    return close(gens, names=[f"T{i}" for i in range(1, n)])
+
+
+def free_lrb_by_table(k):
+    """Free left regular band on k generators from its full word table."""
+    words = [w for r in range(k + 1)
+             for w in itertools.permutations(range(k), r)]
+    index = {w: i for i, w in enumerate(words)}
+    table = []
+    for u in words:
+        seen = set(u)
+        table.append([index[u + tuple(c for c in v if c not in seen)]
+                      for v in words])
+    return from_table(table, identity=0,
+                      generators=[index[(c,)] for c in range(k)],
+                      names=[f"g{i}" for i in range(k)])

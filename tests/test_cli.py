@@ -162,3 +162,14 @@ def test_unwritable_output_path_exit_3(tmp_path, capsys, flag):
     assert main(["lattice", MATRIX, flag, str(target)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_internal_error_exit_5(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr("rmonoid.cli.build_semilattice", broken)
+    assert main(["lattice", LRB2]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in captured.err

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -6,6 +5,8 @@ import pytest
 from rmonoid import (CapExceeded, SpecError, build_free_lrb, build_hecke_a,
                      load, parse_spec, weak_preorder)
 from rmonoid.order import iter_bits
+
+import oracle
 
 
 def test_free_lrb_sizes():
@@ -73,10 +74,46 @@ def test_hecke_idempotent_and_braid_relations():
                     assert ghg == hgh
 
 
+def test_hecke8_builds_without_rows():
+    # 40,320 elements; every relation is read off the generator steps
+    m = build_hecke_a(8)
+    assert m.size == 40320
+    assert max(len(m.word(x)) for x in range(m.size)) == 28
+    for i in range(7):
+        assert m.eval_word([i, i]) == m.eval_word([i])
+        for j in range(7):
+            if abs(i - j) >= 2:
+                assert m.eval_word([i, j]) == m.eval_word([j, i])
+            elif abs(i - j) == 1:
+                assert m.eval_word([i, j, i]) == m.eval_word([j, i, j])
+    assert m._rows.count(None) == m.size
+
+
+def test_builders_match_reference_constructions():
+    cases = ([(build_hecke_a(n), oracle.hecke_a_by_transformations(n))
+              for n in range(2, 7)]
+             + [(build_free_lrb(k), oracle.free_lrb_by_table(k))
+                for k in range(1, 6)])
+    for m, ref in cases:
+        assert m.size == ref.size
+        assert m.generators == ref.generators
+        assert m.gen_names == ref.gen_names
+        k = len(m.generators)
+        for x in range(m.size):
+            assert ([m.gen_step(x, gi) for gi in range(k)]
+                    == [ref.gen_step(x, gi) for gi in range(k)])
+            assert m.word(x) == ref.word(x)
+        assert m.table() == ref.table()
+
+
 def _perm_of(m, x, n):
-    # permutation reached by acting on the identity point
-    perms = list(itertools.permutations(range(n)))
-    return perms[m.images[x][0]]
+    # the permutation x makes of the identity: apply its word letter by
+    # letter, s_i swapping positions i and i+1 when that adds an inversion
+    w = list(range(n))
+    for i in m.word(x):
+        if w[i] < w[i + 1]:
+            w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
 
 
 def _inv_count(p):
