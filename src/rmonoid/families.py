@@ -16,7 +16,6 @@ plus an optional "cap" (element bound, default one million) everywhere.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ConsistencyError, SpecError
@@ -42,9 +41,13 @@ def build_free_lrb(k: int, names: list[str] | None = None,
     """
     if k < 1:
         raise SpecError("k", f"need k >= 1, got {k}")
-    size = sum(math.perm(k, i) for i in range(k + 1))
-    if size > cap:
-        raise CapExceeded(cap, size)
+    # the size, summed term by term: a huge k stops at a true lower bound
+    size = term = 1
+    for i in range(k, 0, -1):
+        term *= i
+        size += term
+        if size > cap:
+            raise CapExceeded(cap, size)
     return _closure((), k, lambda u, g: u if g in u else u + (g,), cap,
                     names or None)
 
@@ -61,9 +64,11 @@ def build_hecke_a(n: int, names: list[str] | None = None,
     """
     if n < 2:
         raise SpecError("n", f"need n >= 2, got {n}")
-    size = math.factorial(n)
-    if size > cap:
-        raise CapExceeded(cap, size)
+    size = 1                    # n!, stopping early like free_lrb's size
+    for i in range(2, n + 1):
+        size *= i
+        if size > cap:
+            raise CapExceeded(cap, size)
 
     def step(w, i):
         if w[i] < w[i + 1]:

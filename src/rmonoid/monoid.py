@@ -75,12 +75,11 @@ def compose(s: Transformation, t: Transformation) -> Transformation:
 class Monoid:
     """Immutable finite monoid over dense element ids.
 
-    Multiplication is backed by the right Cayley graph on the generators;
-    full rows of the multiplication table are materialized lazily and
-    cached, so `mult` is a total function without an upfront O(n^2) cost.
-    All queries are pure: the internal caches only ever receive values that
-    are deterministic functions of the construction data, so concurrent
-    readers see consistent results.
+    Multiplication walks generator words along the right Cayley graph, so
+    it needs no table; full rows, which verification scans, are built
+    lazily by `row` and cached. All queries are pure: the internal caches
+    only ever receive values that are deterministic functions of the
+    construction data, so concurrent readers see consistent results.
     """
 
     def __init__(self, *, size, identity, generators, gen_names, gen_step,
@@ -125,7 +124,11 @@ class Monoid:
         return r
 
     def mult(self, x: int, y: int) -> int:
-        return self.row(x)[y]
+        """x*y, walking y's generator word from x: O(|word(y)|), no row."""
+        step = self._gen_step
+        for gi in self.word(y):
+            x = step[x][gi]
+        return x
 
     def table(self) -> list[list[int]]:
         """The complete multiplication table (forces every row)."""
@@ -307,8 +310,6 @@ def from_table(table: list[list[int]], identity: int = 0,
 
     if generators is None:
         generators = [x for x in range(n) if x != identity]
-        if not generators:  # trivial monoid
-            generators = []
     for g in generators:
         if not (0 <= g < n):
             raise SpecError("generators", f"generator id {g} outside [0, {n})")
@@ -333,7 +334,7 @@ def from_table(table: list[list[int]], identity: int = 0,
         parent_gen_by_id[elt] = parent_gen[bfs_pos]
     gen_step = [[table[x][g] for g in generators] for x in range(n)]
 
-    m = Monoid(
+    return Monoid(
         size=n,
         identity=identity,
         generators=list(generators),
@@ -344,7 +345,3 @@ def from_table(table: list[list[int]], identity: int = 0,
         table=[list(r) for r in table],
         associativity_verified=verified,
     )
-    # force every word now; unreachable elements were already rejected
-    for elt in keys:
-        m.word(elt)
-    return m

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .monoid import Monoid
 
 __all__ = [
-    "OrderRelation", "AbsorptionVerdict",
+    "OrderRelation",
     "weak_preorder", "is_j_trivial", "check_left_absorption", "iter_bits",
 ]
 
@@ -46,14 +45,6 @@ class OrderRelation:
 
     def leq(self, x: int, y: int) -> bool:
         return (self.up[x] >> y) & 1 == 1
-
-
-class AbsorptionVerdict(NamedTuple):
-    ok: bool
-    violation: tuple[int, int, int] | None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _reach(succ: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
@@ -140,9 +131,9 @@ def is_j_trivial(m: Monoid, order: OrderRelation | None = None) -> bool:
             and len(set(_reach(_left_graph(m))[0])) == m.size)
 
 
-def check_left_absorption(m: Monoid,
-                          order: OrderRelation | None = None) -> AbsorptionVerdict:
-    """Check that xyz = x forces xy = x, for all triples.
+def check_left_absorption(m: Monoid, order: OrderRelation | None = None):
+    """Check that xyz = x forces xy = x, for all triples: (ok, the first
+    violating (x, y, z) or None).
 
     xyz = x for some z is exactly xy <= x in the weak preorder, so the scan
     is O(n^2) over pairs instead of O(n^3) over triples; a violating z is
@@ -157,5 +148,5 @@ def check_left_absorption(m: Monoid,
             w = rx[y]
             if w != x and (order.up[w] >> x) & 1:
                 z = m.row(w).index(x)
-                return AbsorptionVerdict(False, (x, y, z))
-    return AbsorptionVerdict(True, None)
+                return False, (x, y, z)
+    return True, None

@@ -120,6 +120,16 @@ def test_cap_exceeded_exit_4(capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ['{"kind":"hecke_a","n":1700}',
+                                  '{"kind":"free_lrb","k":1700}'])
+def test_huge_family_exit_4(capsys, spec):
+    # the size bound stops at the first partial count past the cap
+    assert main(["analyze", spec]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_spec_from_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(LRB2)

@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
-from rmonoid import (NotRTrivial, build_semilattice, verify_weak_order_axioms,
-                     weak_preorder)
+from rmonoid import (NotRTrivial, build_hecke_a, build_semilattice,
+                     verify_weak_order_axioms, weak_preorder)
+from rmonoid import verify
+from rmonoid.cli import main
 
 from conftest import subset_nodes
 
@@ -121,7 +125,7 @@ def test_hecke_descent_is_right_descent_set(hecke4):
 
 
 def test_content_both_characterizations(matrix_monoid, lrb2, hecke4):
-    # S*x^omega must equal {a : a*x = a}; the build asserts it, re-check here
+    # S*x^omega must equal {a : a*x = a}; `verify` checks it, re-check here
     for m in (matrix_monoid, lrb2, hecke4):
         lat = build_semilattice(m)
         for x in range(m.size):
@@ -130,6 +134,43 @@ def test_content_both_characterizations(matrix_monoid, lrb2, hecke4):
             fixed = frozenset(a for a in range(m.size) if m.mult(a, x) == a)
             assert s_xo == fixed
             assert lat.nodes[lat.content(x)].ideal == tuple(sorted(s_xo))
+
+
+def _corrupt_top_ideal(monkeypatch):
+    """Make the suite's semilattice of free_lrb 2 list (2, 4) as the ideal
+    S*ab = {ab, ba} of its top node."""
+    def corrupted(m, order=None):
+        lat = build_semilattice(m, order)
+        J = next(nd.node_id for nd in lat.nodes if nd.ideal == (3, 4))
+        lat.nodes[J] = dataclasses.replace(lat.nodes[J], ideal=(2, 4))
+        return lat
+    monkeypatch.setattr(verify, "build_semilattice", corrupted)
+
+
+def test_content_check_can_fail(lrb2, monkeypatch):
+    assert ("PASS  content_characterizations_agree"
+            in verify.run_full_suite(lrb2).lines())
+    _corrupt_top_ideal(monkeypatch)
+    report = verify.run_full_suite(lrb2)
+    assert not report.passed
+    # element 3 = ab is the first with content at the top node
+    assert ("FAIL  content_characterizations_agree  ({a : a*x = a} != "
+            "S*x^omega at element 3)") in report.lines()
+
+
+def test_content_check_failure_makes_verify_exit_1(monkeypatch, capsys):
+    _corrupt_top_ideal(monkeypatch)
+    assert main(["verify", '{"kind":"free_lrb","k":2}']) == 1
+    assert "FAIL  content_characterizations_agree" in capsys.readouterr().out
+
+
+def test_hecke7_semilattice_reads_only_generator_rows():
+    # products are word walks and S*e comes from the left Cayley graph,
+    # whose edges are the k generator rows
+    m = build_hecke_a(7)
+    assert build_semilattice(m).n_nodes == 64
+    forced = [x for x in range(m.size) if m._rows[x] is not None]
+    assert forced == sorted(m.generators)
 
 
 def test_join_is_least_upper_bound(matrix_monoid, lrb2, hecke4):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from rmonoid import (CapExceeded, SpecError, Transformation, close, compose,
@@ -79,15 +81,34 @@ def test_words_shortlex_and_roundtrip(matrix_monoid, lrb2, hecke4):
         assert keys == sorted(keys)
 
 
-def test_mult_table_consistency(matrix_monoid):
-    m = matrix_monoid
-    t = m.table()
-    for x in range(5):
-        for y in range(5):
-            assert t[x][y] == m.mult(x, y)
+def test_mult_table_consistency(matrix_monoid, lrb2, hecke4, group2,
+                                trivial):
+    # mult walks words, row fills in BFS order: two routes to one product
+    for m in (matrix_monoid, lrb2, hecke4, group2, trivial):
+        t = m.table()
+        for x in range(m.size):
+            for y in range(m.size):
+                assert t[x][y] == m.mult(x, y)
     # identity row and column
+    t = matrix_monoid.table()
     assert t[0] == list(range(5))
     assert [t[x][0] for x in range(5)] == list(range(5))
+
+
+def test_mult_matches_input_table():
+    # the full transformation monoid on 3 points, tabled by composing
+    # images, with the identity at row 5; generated by every non-identity
+    # element, then by a transposition, a 3-cycle and a rank-2 map
+    maps = list(itertools.product(range(3), repeat=3))
+    index = {f: i for i, f in enumerate(maps)}
+    table = [[index[compose(Transformation(f), Transformation(g)).images]
+              for g in maps] for f in maps]
+    ident = index[(0, 1, 2)]
+    for gens in (None, [index[(1, 0, 2)], index[(1, 2, 0)], index[(0, 0, 2)]]):
+        m = from_table(table, identity=ident, generators=gens)
+        for x in range(27):
+            for y in range(27):
+                assert m.mult(x, y) == table[x][y]
 
 
 def test_associativity_spot_check(matrix_monoid):

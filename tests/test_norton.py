@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 from rmonoid import (basis, build_semilattice, e_system, from_coeffs,
                      node_data, one, verify_system, weak_preorder)
 from rmonoid.output import system_payload, to_json
@@ -183,6 +186,59 @@ def test_e_system_matches_naive_oracle(matrix_monoid, lrb2, hecke3, hecke4):
                 want = oracle[frozenset(nd.ideal)]
                 got = sys_.data[nd.node_id].e
                 assert got == from_coeffs(m, dict(enumerate(want)))
+
+
+P61 = (1 << 61) - 1
+
+
+def _rank_mod_p(vectors):
+    """Rank over GF(2^61 - 1) of sparse vectors {column: integer}."""
+    pivots = {}                 # column -> row, 1 at that column, reduced
+    for v in vectors:
+        v = {c: a % P61 for c, a in v.items() if a % P61}
+        while v:
+            col = min(v)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(v[col], -1, P61)
+                pivots[col] = {c: a * inv % P61 for c, a in v.items()}
+                break
+            f = v[col]
+            for c, a in piv.items():
+                r = (v.get(c, 0) - f * a) % P61
+                if r:
+                    v[c] = r
+                else:
+                    v.pop(c, None)
+    return len(pivots)
+
+
+def test_norton_dimensions_hecke(hecke3, hecke4, hecke5):
+    # Norton (0-Hecke algebras, 1979): dim QM*e_J is the number of
+    # permutations with descent set J. rank_p <= rank_Q, and the Q-ranks
+    # sum to n! since QM is the direct sum of the QM*e_J, so ranks mod p
+    # summing to n! are all exact. A descent set and its complement have
+    # equally many permutations, so this does not pin the orientation.
+    for n, m in ((3, hecke3), (4, hecke4), (5, hecke5)):
+        table = m.table()
+        lat = build_semilattice(m)
+        sys_ = e_system(lat, mode="auto")
+        descents = Counter(
+            tuple(i for i in range(n - 1) if perm[i] > perm[i + 1])
+            for perm in itertools.permutations(range(n)))
+        total = 0
+        for nd in sys_.data:
+            vectors = []
+            for x in range(m.size):
+                v = {}
+                for y, c in nd.e.coeffs.items():
+                    xy = table[x][y]
+                    v[xy] = v.get(xy, 0) + c
+                vectors.append(v)
+            rank = _rank_mod_p(vectors)
+            assert rank == descents[lat.generator_label(nd.node_id)]
+            total += rank
+        assert total == m.size
 
 
 def test_full_verification_reports(matrix_monoid, lrb2, trivial, hecke4):
