@@ -138,7 +138,7 @@ def parse_spec(text: str | dict) -> MonoidSpec:
     if isinstance(text, str):
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:       # also integer literals too long
             raise SpecError("json", f"not valid JSON: {err}") from err
     else:
         d = text

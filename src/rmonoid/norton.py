@@ -7,21 +7,24 @@ For each node J of the support semilattice:
     B_J = prod of (1 - g^omega) over the remaining generators
     A_J = the stable power of B_J
     z_J = A_J * T_J
-    P_J = 1 - (1 + (N+1) z_J) (1 - z_J)^(N+1),  N least with (1-z_J)^N z_J^2 = 0
+    P_J = sum of (k+1) (1-z_J)^k z_J^2 over k < N, N least with (1-z_J)^N z_J^2 = 0
     e_J = P_J * (1 - sum of e_K over K strictly above J)
 
 All products are taken in exactly this written order and generators in
 their fixed input order; the monoid is noncommutative and the outputs are
 only reproducible with the order pinned. For J-trivial monoids the cheaper
-P_J = 1 - (1 - z_J)^(N+1) with N least such that (1-z_J)^N z_J = 0 yields
-the same system.
+P_J = sum of (1-z_J)^k z_J over k < N, N least with (1-z_J)^N z_J = 0,
+yields the same system. Both sums equal the paper's closed forms, which
+`verify` recomputes. Construction only computes: `verify_system` checks
+that P_J and e_J are idempotent and that z_J, P_J and e_J have unit
+leading terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement, basis, one, power_until_stable
+from .algebra import AlgebraElement, basis, one, power_until_stable, zero
 from .errors import ConsistencyError
 from .lattice import Semilattice
 from .order import is_j_trivial
@@ -77,24 +80,18 @@ def _leading_term_fault(lat: Semilattice, elem: AlgebraElement, T: int,
     return None
 
 
-def _check_leading_term(lat: Semilattice, elem: AlgebraElement, T: int,
-                        J: int, what: str) -> None:
-    fault = _leading_term_fault(lat, elem, T, J, what)
-    if fault is not None:
-        raise ConsistencyError(fault)
-
-
-def _least_vanishing(z: AlgebraElement, tail: AlgebraElement,
-                     cap: int) -> tuple[int, AlgebraElement]:
-    """Least N with (1-z)^N * tail = 0, plus (1-z)^(N+1) for the closed form."""
+def _vanishing_sum(z: AlgebraElement, tail: AlgebraElement, weighted: bool,
+                   cap: int) -> tuple[int, AlgebraElement]:
+    """Least N with (1-z)^N * tail = 0, and the sum over k < N of
+    c_k (1-z)^k * tail, with c_k = k+1 when weighted and 1 otherwise."""
     w = one(z.monoid) - z
     acc = tail
-    wpow = one(z.monoid)
+    total = zero(z.monoid)
     for n in range(cap + 1):
         if acc.is_zero():
-            return n, wpow * w
+            return n, total
+        total = total + (acc.scale(n + 1) if weighted else acc)
         acc = w * acc
-        wpow = wpow * w
     raise ConsistencyError(
         f"no exponent <= {cap} makes (1-z)^N * tail vanish; "
         f"the monoid may not satisfy the assumed triviality"
@@ -107,7 +104,9 @@ def node_data(lat: Semilattice, J: int, mode: str = "general") -> NortonData:
     mode 'general' works for every R-trivial monoid; 'jtrivial' uses the
     shorter formula for P valid for J-trivial monoids; 'auto' picks by
     testing J-triviality. The e field starts out as P; e_system overwrites
-    it.
+    it. Only the content of T_J, g^omega A_J = 0 and the vanishing cap
+    raise here; verify_system's `idempotent` and
+    `nonzero_with_unit_leading_term` check P_J and z_J.
     """
     mode = _resolve_mode(lat, mode)
     m = lat.monoid
@@ -141,17 +140,10 @@ def node_data(lat: Semilattice, J: int, mode: str = "general") -> NortonData:
             )
 
     z = A * basis(m, T)
-    _check_leading_term(lat, z, T, J, "z")
-
     if mode == "jtrivial":
-        n_z, wN1 = _least_vanishing(z, z, cap)
-        P = one(m) - wN1
+        n_z, P = _vanishing_sum(z, z, False, cap)
     else:
-        n_z, wN1 = _least_vanishing(z, z * z, cap)
-        P = one(m) - (one(m) + z.scale(n_z + 1)) * wN1
-    if P * P != P:
-        raise ConsistencyError(f"P at node {J} is not idempotent")
-    _check_leading_term(lat, P, T, J, "P")
+        n_z, P = _vanishing_sum(z, z * z, True, cap)
     return NortonData(node_id=J, T=T, B=B, A=A, z=z, P=P,
                       e=P, N_B=n_b, N_z=n_z)
 
@@ -175,7 +167,6 @@ def e_system(lat: Semilattice, mode: str = "auto") -> IdempotentSystem:
         for K in lat.strictly_above(J):
             rest = rest - data[K].e
         rec.e = rec.P * rest
-        _check_leading_term(lat, rec.e, rec.T, J, "e")
         data[J] = rec
     return IdempotentSystem(data=data, mode_used=mode)
 
@@ -189,19 +180,22 @@ def _first_pair(k: int, fails) -> tuple[int, int] | None:
 def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
     """Full verification of a computed system; results land in a report.
 
-    Checks idempotency, pairwise orthogonality both ways, the sum being 1,
-    nonzero leading terms, the node count, and the intermediate
-    orthogonality facts for z, P and e*P. The report is also stored on the
-    system record. Nothing raises; the CLI turns failures into exit codes.
+    Checks idempotency of every e_J and P_J, pairwise orthogonality both
+    ways, the sum being 1, the unit leading terms of every z_J, P_J and
+    e_J, one record per node in node order, and the intermediate
+    orthogonality facts for z, P and e*P. A failure names the first
+    element and node at fault. The report is also stored on the system
+    record. Nothing raises; the CLI turns failures into exit codes.
     """
     m = lat.monoid
     report = Report()
-    k = lat.n_nodes
-    data = sys.data
-    es = [data[J].e for J in range(k)]
+    data = sys.data[:lat.n_nodes]   # extra records fail count_equals_lattice
+    k = len(data)
+    es = [nd.e for nd in data]
 
-    bad = next((J for J in range(k) if es[J] * es[J] != es[J]), None)
-    report.add("idempotent", bad is None, f"e at node {bad}")
+    bad = next((f"{what} at node {J}" for J, nd in enumerate(data)
+                for what, x in (("e", nd.e), ("P", nd.P)) if x * x != x), None)
+    report.add("idempotent", bad is None, bad)
 
     bad = _first_pair(k, lambda J, K: J != K and not (es[J] * es[K]).is_zero())
     report.add("orthogonal", bad is None, f"e_J * e_K != 0 at {bad}")
@@ -212,12 +206,16 @@ def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
     report.add("sum_to_one", total == one(m), "sum of all e_J is not 1")
 
     # a zero e fails too: its coefficient of T is 0
-    bad = next((J for J in range(k)
-                if _leading_term_fault(lat, es[J], data[J].T, J, "e")), None)
-    report.add("nonzero_with_unit_leading_term", bad is None, f"node {bad}")
+    fault = next(filter(None, (
+        _leading_term_fault(lat, getattr(nd, what), nd.T, J, what)
+        for J, nd in enumerate(data) for what in ("z", "P", "e"))), None)
+    report.add("nonzero_with_unit_leading_term", fault is None, fault)
 
-    report.add("count_equals_lattice", len(es) == k,
-               f"{len(es)} idempotents for {k} nodes")
+    bad = next((J for J, nd in enumerate(data) if nd.node_id != J), None)
+    n_rec = len(sys.data)
+    report.add("count_equals_lattice", n_rec == lat.n_nodes and bad is None,
+               f"{n_rec} idempotents for {lat.n_nodes} nodes" if bad is None
+               else f"record {bad} has node_id {data[bad].node_id}")
 
     bad = _first_pair(k, lambda J, K: not lat.preceq(J, K)
                       and not (data[J].z * data[K].z).is_zero())

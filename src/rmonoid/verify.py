@@ -70,16 +70,14 @@ def _brute_force_r_trivial(m: Monoid) -> bool:
     return len(ideals) == m.size
 
 
-def _p_by_summation(z: AlgebraElement, n_z: int) -> AlgebraElement:
-    """Sum over k <= N of (k+1) (1-z)^k z^2, which the closed form of P
-    (general mode) must equal."""
-    w = one(z.monoid) - z
-    total = AlgebraElement(z.monoid, {})
-    term = z * z
-    for k in range(n_z + 1):
-        total = total + term.scale(k + 1)
-        term = w * term
-    return total
+def _p_closed_form(z: AlgebraElement, n_z: int, mode: str) -> AlgebraElement:
+    """The paper's closed form of P, which construction's truncated sum
+    must equal: 1 - (1-z)^(N+1) in jtrivial mode, and
+    1 - (1 + (N+1) z) (1-z)^(N+1) in general mode."""
+    wpow = (one(z.monoid) - z) ** (n_z + 1)
+    if mode == "jtrivial":
+        return one(z.monoid) - wpow
+    return one(z.monoid) - (one(z.monoid) + z.scale(n_z + 1)) * wpow
 
 
 def run_full_suite(m: Monoid) -> Report:
@@ -138,11 +136,8 @@ def run_full_suite(m: Monoid) -> Report:
         report.add("j_trivial_implies_r_trivial", order.is_partial_order)
 
     sys = e_system(lat, "jtrivial" if jtriv else "general")
-    # only the general mode builds P from the closed form
-    bad = None
-    if sys.mode_used == "general":
-        bad = next((nd.node_id for nd in sys.data
-                    if _p_by_summation(nd.z, nd.N_z) != nd.P), None)
+    bad = next((nd.node_id for nd in sys.data
+                if _p_closed_form(nd.z, nd.N_z, sys.mode_used) != nd.P), None)
     report.add("p_closed_form_matches_summation", bad is None,
                f"closed form of P at node {bad} disagrees with the "
                f"truncated summation")

@@ -130,6 +130,21 @@ def test_huge_family_exit_4(capsys, spec):
     assert "Traceback" not in err
 
 
+HUGE = "9" * 5000           # past the int-from-text digit limit of json
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind":"hecke_a","n":%s}' % HUGE,
+    '{"kind":"hecke_a","n":3,"cap":%s}' % HUGE,
+    '{"kind":"table","table":[[0,%s],[1,1]]}' % HUGE,
+], ids=["n", "cap", "table"])
+def test_huge_integer_literal_exit_3(capsys, spec):
+    assert main(["analyze", spec]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: json:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_spec_from_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(LRB2)

@@ -1,12 +1,15 @@
 import itertools
 from collections import Counter
 
-from rmonoid import (basis, build_semilattice, e_system, from_coeffs,
-                     node_data, one, verify_system, weak_preorder)
-from rmonoid.output import system_payload, to_json
-from rmonoid.verify import _p_by_summation
+import pytest
 
-from conftest import hecke_elt, subset_nodes
+from rmonoid import (basis, build_hecke_a, build_semilattice, e_system,
+                     from_coeffs, is_j_trivial, node_data, one, verify_system,
+                     weak_preorder)
+from rmonoid.output import system_payload, to_json
+from rmonoid.verify import _p_closed_form
+
+from conftest import hecke_elt, random_transformation_monoids, subset_nodes
 from oracle import naive_system
 
 
@@ -100,23 +103,27 @@ def test_p_element_lrb(lrb2):
     a, b = basis(m, 1), basis(m, 2)
     rec = node_data(lat, nodes[(1,)], mode="general")
     assert rec.P == basis(m, 1) - basis(m, 3)            # z^2 = a - ab
-    assert rec.P == _p_by_summation(rec.z, rec.N_z)
+    assert rec.P == _p_closed_form(rec.z, rec.N_z, "general")
     rec = node_data(lat, nodes[()], mode="general")
     assert rec.P == 1 - a - b + a * b
-    assert rec.P == _p_by_summation(rec.z, rec.N_z)
+    assert rec.P == _p_closed_form(rec.z, rec.N_z, "general")
     # z idempotent at the top: P = z in both modes
     z_top = basis(m, 3)
     for mode in ("general", "jtrivial"):
-        assert node_data(lat, nodes[(1, 2)], mode=mode).P == z_top
+        rec = node_data(lat, nodes[(1, 2)], mode=mode)
+        assert rec.P == z_top
+        assert rec.P == _p_closed_form(rec.z, rec.N_z, mode)
 
 
 def test_p_idempotent_everywhere(matrix_monoid, lrb2, hecke4):
     for m in (matrix_monoid, lrb2, hecke4):
         lat = build_semilattice(m)
-        for nd in lat.nodes:
-            rec = node_data(lat, nd.node_id, mode="general")
-            assert rec.P * rec.P == rec.P
-            assert rec.P == _p_by_summation(rec.z, rec.N_z)
+        modes = ("general", "jtrivial") if is_j_trivial(m) else ("general",)
+        for mode in modes:
+            for nd in lat.nodes:
+                rec = node_data(lat, nd.node_id, mode=mode)
+                assert rec.P * rec.P == rec.P
+                assert rec.P == _p_closed_form(rec.z, rec.N_z, mode)
 
 
 def test_vanishing_exponent_bounded(matrix_monoid, lrb2, hecke4, hecke5):
@@ -241,6 +248,74 @@ def test_norton_dimensions_hecke(hecke3, hecke4, hecke5):
         assert total == m.size
 
 
+def _cartan_ranks_and_counts(m):
+    """Per (J, K): the mod-p rank of {e_J x e_K : x in M}, and the number of
+    x with lfix(x) at node J and rfix(x) at node K, all read off the table."""
+    n = m.size
+    table = m.table()
+    lat = build_semilattice(m)
+    es = [rec.e.coeffs for rec in e_system(lat, mode="auto").data]
+    node_of = {frozenset(nd.ideal): nd.node_id for nd in lat.nodes}
+    idem = [f for f in range(n) if table[f][f] == f]
+    two_sided = {}
+    for f in idem:
+        ideal = set()
+        for y in {table[a][f] for a in range(n)}:
+            ideal.update(table[y])
+        two_sided[f] = ideal
+
+    def fix(stabilises):
+        # the idempotent with the smallest two-sided ideal, which lies in
+        # the ideal of every other candidate
+        cands = [f for f in idem if stabilises(f)]
+        f = min(cands, key=lambda f: len(two_sided[f]))
+        assert all(two_sided[f] <= two_sided[g] for g in cands)
+        return node_of[frozenset(a for a in range(n) if table[a][f] == a)]
+
+    counts = Counter(
+        (fix(lambda f: table[f][x] == x), fix(lambda f: table[x][f] == x))
+        for x in range(n))
+    ranks = {}
+    for J, eJ in enumerate(es):
+        left = []
+        for x in range(n):
+            v = {}
+            for a, c in eJ.items():
+                ax = table[a][x]
+                v[ax] = v.get(ax, 0) + c
+            left.append(v)
+        for K, eK in enumerate(es):
+            vectors = []
+            for v in left:
+                w = {}
+                for y, c in v.items():
+                    row = table[y]
+                    for b, d in eK.items():
+                        w[row[b]] = w.get(row[b], 0) + c * d
+                vectors.append(w)
+            ranks[J, K] = _rank_mod_p(vectors)
+    return ranks, counts
+
+
+def test_cartan_matrix_j_trivial():
+    # Denton-Hivert-Schilling-Thiery (arXiv:1010.3455): for J-trivial M,
+    # dim e_J QM e_K counts the x with lfix(x) at J and rfix(x) at K. QM is
+    # the direct sum of the e_J QM e_K, so ranks mod p summing to n are
+    # exact. 0-Hecke Cartan matrices are symmetric; the random monoids are
+    # mostly not, which pins the orientation.
+    monoids = [build_hecke_a(3), build_hecke_a(4)] + [
+        m for m in random_transformation_monoids(60, 5, True, max_size=60)
+        if is_j_trivial(m)]
+    assert len(monoids) > 30
+    asymmetric = 0
+    for m in monoids:
+        ranks, counts = _cartan_ranks_and_counts(m)
+        assert sum(ranks.values()) == m.size
+        assert ranks == {JK: counts[JK] for JK in ranks}
+        asymmetric += any(counts[J, K] != counts[K, J] for J, K in ranks)
+    assert asymmetric > 20
+
+
 def test_full_verification_reports(matrix_monoid, lrb2, trivial, hecke4):
     for m in (matrix_monoid, lrb2, trivial, hecke4):
         lat = build_semilattice(m)
@@ -352,6 +427,51 @@ def test_p_closed_form_failure_makes_verify_exit_1(monkeypatch, capsys):
     assert main(["verify", '{"kind":"free_lrb","k":2}']) == 1
     out = capsys.readouterr().out
     assert "FAIL  p_closed_form_matches_summation" in out
+
+
+def test_p_closed_form_checked_in_jtrivial_mode(monkeypatch, capsys):
+    # hecke_a 3 is J-trivial, so verify builds P by the short formula
+    from rmonoid.cli import main
+    _corrupt_one_p(monkeypatch, 2)
+    assert main(["verify", '{"kind":"hecke_a","n":3}']) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL  p_closed_form_matches_summation  (closed form of P at "
+            "node 2 disagrees with the truncated summation)") in out
+
+
+@pytest.mark.parametrize("what, node, idempotent_line", [
+    ("P", 1, "FAIL  idempotent  (P at node 1)"),
+    ("z", 2, "PASS  idempotent"),
+])
+def test_idempotents_checks_p_and_z_after_construction(
+        monkeypatch, capsys, what, node, idempotent_line):
+    from rmonoid import cli
+
+    def corrupted(lat, mode="auto"):
+        sys_ = e_system(lat, mode)
+        rec = sys_.data[node]
+        setattr(rec, what, getattr(rec, what).scale(2))
+        return sys_
+    monkeypatch.setattr(cli, "e_system", corrupted)
+    assert cli.main(["idempotents", '{"kind":"free_lrb","k":2}',
+                     "--format", "text"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert idempotent_line in lines
+    assert (f"FAIL  nonzero_with_unit_leading_term  (coefficient of T in "
+            f"{what} at node {node} is 2)") in lines
+
+
+def test_count_equals_lattice_checks_records(lrb2):
+    lat = build_semilattice(lrb2)
+    k = lat.n_nodes
+    for edit, detail in (
+            (lambda d: d.pop(), f"{k - 1} idempotents for {k} nodes"),
+            (lambda d: d.append(d[0]), f"{k + 1} idempotents for {k} nodes"),
+            (lambda d: d.reverse(), f"record 0 has node_id {k - 1}")):
+        sys_ = e_system(lat, mode="general")
+        edit(sys_.data)
+        lines = verify_system(lat, sys_).lines()
+        assert f"FAIL  count_equals_lattice  ({detail})" in lines
 
 
 def test_deterministic_serialization(matrix_monoid):
