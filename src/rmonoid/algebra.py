@@ -5,6 +5,12 @@ An element is a map from element id to a Python int (arbitrary precision),
 with zero coefficients never stored. Every construction in the idempotent
 machinery has integer coefficients, so no rationals are needed anywhere.
 
+A product a*b is the sum of a_x * (x*b) over the support of a. Each left
+translate x*b comes from s*b, for x = g*s on the monoid's left Cayley
+tree, by one step y -> g*y along generator g's row, so products read only
+the k generator rows. `RightFactor` keeps the translates of one b for
+every product with that b on the right.
+
 >>> from .families import build_free_lrb
 >>> m = build_free_lrb(2)
 >>> a, b = (basis(m, g) for g in m.generators)
@@ -19,7 +25,7 @@ from .errors import StabilizationError
 from .monoid import Monoid
 
 __all__ = [
-    "AlgebraElement", "zero", "one", "basis", "from_coeffs",
+    "AlgebraElement", "RightFactor", "zero", "one", "basis", "from_coeffs",
     "power_until_stable",
 ]
 
@@ -115,15 +121,7 @@ class AlgebraElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self.monoid
-        out: dict[int, int] = {}
-        bitems = list(other.coeffs.items())
-        for x, cx in self.coeffs.items():
-            rx = m.row(x)
-            for y, cy in bitems:
-                z = rx[y]
-                out[z] = out.get(z, 0) + cx * cy
-        return AlgebraElement(m, out)
+        return RightFactor(other).left_mul(self)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -143,6 +141,85 @@ class AlgebraElement:
                 base = base * base
             n = base_needed
         return result
+
+
+class RightFactor:
+    """A fixed right factor b with its left translates x*b, memoised per x.
+
+    x*b is read off x's row when that row is already built. Otherwise it
+    is g*(s*b) for x = g*s on the left Cayley tree (`Monoid.left_tree`):
+    one step y -> g*y along g's row per term of s*b, with s*b memoised or
+    found the same way. Terms that merge and cancel are dropped at once,
+    so no translate stores a zero and a vanishing s*b ends its subtree.
+
+    x*b = g*(s*b) relies on associativity, as `Monoid.mult` does; on a
+    `from_table` input accepted without the associativity check it is
+    taken on trust, like every product there.
+    """
+
+    __slots__ = ("monoid", "_memo")
+
+    def __init__(self, b: AlgebraElement):
+        self.monoid = b.monoid
+        self._memo = {b.monoid.identity: b.coeffs}
+
+    def translate(self, x: int) -> dict[int, int]:
+        """x*b as an {element: coefficient} map; do not mutate it."""
+        t = self._memo.get(x)
+        if t is None:
+            m = self.monoid
+            r = m.cached_row(x)
+            if r is None:
+                return self._walk(x)
+            t = self._memo[x] = _image(r, self._memo[m.identity])
+        return t
+
+    def _walk(self, x: int) -> dict[int, int]:
+        """x*b along the left Cayley tree, memoising the path to x."""
+        memo = self._memo
+        parent, step_row = self.monoid.left_tree()
+        path = [x]
+        x = parent[x]
+        while (t := memo.get(x)) is None:
+            path.append(x)
+            x = parent[x]
+        for y in reversed(path):
+            t = memo[y] = _image(step_row[y], t) if t else t
+        return t
+
+    def left_mul(self, a: AlgebraElement) -> AlgebraElement:
+        """a*b, as the sum of a_x * (x*b) over the support of a."""
+        if a.monoid is not self.monoid:
+            raise ValueError("operands live over different monoids")
+        m, memo = self.monoid, self._memo
+        b = memo[m.identity].items()
+        out: dict[int, int] = {}
+        get = out.get
+        for x, cx in a.coeffs.items():
+            t = memo.get(x)
+            if t is None:
+                r = m.cached_row(x)
+                if r is not None:   # a built row is as cheap as a memo entry
+                    for y, c in b:
+                        z = r[y]
+                        out[z] = get(z, 0) + cx * c
+                    continue
+                t = self._walk(x)
+            for z, c in t.items():
+                out[z] = get(z, 0) + cx * c
+        return AlgebraElement(m, out)
+
+
+def _image(r: list[int], v: dict[int, int]) -> dict[int, int]:
+    """The vector sum of c*[r[y]] over the terms c*[y] of v, zeros dropped."""
+    out: dict[int, int] = {}
+    get = out.get
+    for y, c in v.items():
+        z = r[y]
+        out[z] = get(z, 0) + c
+    if len(out) < len(v):
+        return {z: c for z, c in out.items() if c}
+    return out
 
 
 def _scalar(m: Monoid, k: int) -> AlgebraElement:
@@ -172,9 +249,10 @@ def power_until_stable(a: AlgebraElement, cap: int) -> tuple[AlgebraElement, int
     StabilizationError when no such N <= cap exists -- which is the expected
     outcome for elements like 1 - x with x of finite group order > 1.
     """
+    times_a = RightFactor(a).left_mul
     p = a
     for n in range(1, cap + 1):
-        q = p * a
+        q = times_a(p)
         if q == p:
             return p, n
         p = q

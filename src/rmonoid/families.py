@@ -138,7 +138,7 @@ def parse_spec(text: str | dict) -> MonoidSpec:
     if isinstance(text, str):
         try:
             d = json.loads(text)
-        except ValueError as err:       # also integer literals too long
+        except (ValueError, RecursionError) as err:  # long ints, deep nests
             raise SpecError("json", f"not valid JSON: {err}") from err
     else:
         d = text

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, NotRTrivial
 from .monoid import Monoid
-from .order import (OrderRelation, _left_graph, _reach, iter_bits,
-                    weak_preorder)
+from .order import OrderRelation, _reach, iter_bits, weak_preorder
 from .reporting import Report
 
 __all__ = [
@@ -131,7 +130,7 @@ def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilatt
     n = m.size
 
     # S*e is what e reaches in the left Cayley graph
-    left_ideal = _reach(_left_graph(m))[1]
+    left_ideal = _reach(m.left_graph())[1]
     nodes: list[LatticeNode] = []
     ideal_masks: list[int] = []
     mask_to_node: dict[int, int] = {}

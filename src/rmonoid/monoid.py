@@ -76,10 +76,13 @@ class Monoid:
     """Immutable finite monoid over dense element ids.
 
     Multiplication walks generator words along the right Cayley graph, so
-    it needs no table; full rows, which verification scans, are built
-    lazily by `row` and cached. All queries are pure: the internal caches
-    only ever receive values that are deterministic functions of the
-    construction data, so concurrent readers see consistent results.
+    it needs no table. Left translation y -> x*y steps along a BFS tree of
+    the left Cayley graph y -> g*y instead, whose edges are the k
+    generator rows (`left_graph`, `left_tree`). Full rows, which
+    verification scans, are built lazily by `row` and cached. All queries
+    are pure: the internal caches only ever receive values that are
+    deterministic functions of the construction data, so concurrent
+    readers see consistent results.
     """
 
     def __init__(self, *, size, identity, generators, gen_names, gen_step,
@@ -94,6 +97,7 @@ class Monoid:
         self._rows = table if table is not None else [None] * size
         self._words: list[tuple[int, ...] | None] = [None] * size
         self._idem_power: dict[int, int] = {}
+        self._left_tree = None
         self.associativity_verified = associativity_verified
 
     def __len__(self) -> int:
@@ -122,6 +126,29 @@ class Monoid:
                     r[y] = step[r[par[y]]][pgen[y]]
             self._rows[x] = r
         return r
+
+    def cached_row(self, x: int) -> list[int] | None:
+        """The row of `x` if it is already built, else None."""
+        return self._rows[x]
+
+    def left_graph(self) -> list[list[int]]:
+        """Per element y, the products g*y over the generators in input
+        order: the left Cayley graph, read off the k generator rows."""
+        rows = [self.row(g) for g in self.generators]
+        return [[r[y] for r in rows] for y in range(self.size)]
+
+    def left_tree(self) -> tuple[list[int | None], list[list[int] | None]]:
+        """(parent, step_row): x = g*parent[x], with step_row[x] the row of
+        that generator g, on a BFS tree of `left_graph` from the identity.
+
+        Built once, in O(n*k); parent and step_row are None at the identity.
+        """
+        if self._left_tree is None:
+            _, parent, gen = _id_tree(self.identity, self.left_graph())
+            rows = [self.row(g) for g in self.generators]
+            self._left_tree = (parent, [None if gi is None else rows[gi]
+                                        for gi in gen])
+        return self._left_tree
 
     def mult(self, x: int, y: int) -> int:
         """x*y, walking y's generator word from x: O(|word(y)|), no row."""
@@ -221,6 +248,29 @@ def _bfs_build(identity_key, k, step, cap):
     return keys, parent, parent_gen, gen_step
 
 
+def _id_tree(root: int, succ: list[list[int]]):
+    """BFS over ids from `root` along the edges x -> succ[x][i].
+
+    Returns the ids in discovery order and, per id, its tree parent and
+    the position i of the edge that reached it (None at the root and at
+    ids never reached).
+    """
+    n = len(succ)
+    parent: list[int | None] = [None] * n
+    edge: list[int | None] = [None] * n
+    seen = [False] * n
+    seen[root] = True
+    queue = [root]
+    for x in queue:
+        for i, y in enumerate(succ[x]):
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                edge[y] = i
+                queue.append(y)
+    return queue, parent, edge
+
+
 def _closure(identity_key, k, step, cap, names) -> Monoid:
     """The monoid generated by k generators acting on canonical keys.
 
@@ -316,23 +366,14 @@ def from_table(table: list[list[int]], identity: int = 0,
     if names is not None and len(names) != len(generators):
         raise SpecError("names", "one name per generator required")
 
-    # BFS for words / reachability, reusing the table for steps
-    keys, parent, parent_gen, _ = _bfs_build(
-        identity, len(generators), lambda key, gi: table[key][generators[gi]],
-        n + 1
-    )
-    if len(keys) != n:
+    # BFS for words / reachability; element ids stay the table's row indices
+    gen_step = [[table[x][g] for g in generators] for x in range(n)]
+    reached, parent, parent_gen = _id_tree(identity, gen_step)
+    if len(reached) != n:
         raise SpecError(
             "generators",
-            f"generators only reach {len(keys)} of {n} elements",
+            f"generators only reach {len(reached)} of {n} elements",
         )
-    # element ids must stay the table's row indices: remap BFS data
-    parent_by_id = [None] * n
-    parent_gen_by_id = [None] * n
-    for bfs_pos, elt in enumerate(keys):
-        parent_by_id[elt] = None if parent[bfs_pos] is None else keys[parent[bfs_pos]]
-        parent_gen_by_id[elt] = parent_gen[bfs_pos]
-    gen_step = [[table[x][g] for g in generators] for x in range(n)]
 
     return Monoid(
         size=n,
@@ -340,8 +381,8 @@ def from_table(table: list[list[int]], identity: int = 0,
         generators=list(generators),
         gen_names=names or [f"g{i}" for i in range(len(generators))],
         gen_step=gen_step,
-        parent=parent_by_id,
-        parent_gen=parent_gen_by_id,
+        parent=parent,
+        parent_gen=parent_gen,
         table=[list(r) for r in table],
         associativity_verified=verified,
     )

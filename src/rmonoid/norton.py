@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement, basis, one, power_until_stable, zero
+from .algebra import (AlgebraElement, RightFactor, basis, one,
+                      power_until_stable, zero)
 from .errors import ConsistencyError
 from .lattice import Semilattice
 from .order import is_j_trivial
@@ -68,10 +69,11 @@ def _resolve_mode(lat: Semilattice, mode: str) -> str:
 def _leading_term_fault(lat: Semilattice, elem: AlgebraElement, T: int,
                         J: int, what: str) -> str | None:
     """Why elem lacks coefficient 1 at T with every other term strictly
-    above J, or None when it has them."""
+    above J, or None when it has them. The lowest-id bad term is named,
+    whatever order the product that built elem stored its terms in."""
     if elem.coefficient(T) != 1:
         return f"coefficient of T in {what} at node {J} is {elem.coefficient(T)}"
-    for y in elem.coeffs:
+    for y in elem.support():
         if y != T:
             cy = lat.content(y)
             if cy == J or not lat.preceq(J, cy):
@@ -171,10 +173,21 @@ def e_system(lat: Semilattice, mode: str = "auto") -> IdempotentSystem:
     return IdempotentSystem(data=data, mode_used=mode)
 
 
-def _first_pair(k: int, fails) -> tuple[int, int] | None:
-    """First (a, b) in row-major order over range(k) squared with fails(a, b)."""
-    return next(((a, b) for a in range(k) for b in range(k) if fails(a, b)),
-                None)
+def _first_nonzero_product(left, right, skip) -> tuple[int, int] | None:
+    """First (a, b) in row-major order, skip(a, b) false, with
+    left[a] * right[b] != 0.
+
+    The scan runs column by column, so each right[b] keeps its translates
+    for every a, and a column stops at the row of the best pair so far.
+    """
+    best = None
+    for b, rb in enumerate(right):
+        times_rb = RightFactor(rb).left_mul
+        for a in range(len(left) if best is None else best[0]):
+            if not skip(a, b) and not times_rb(left[a]).is_zero():
+                best = (a, b)
+                break
+    return best
 
 
 def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
@@ -190,14 +203,13 @@ def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
     m = lat.monoid
     report = Report()
     data = sys.data[:lat.n_nodes]   # extra records fail count_equals_lattice
-    k = len(data)
     es = [nd.e for nd in data]
 
     bad = next((f"{what} at node {J}" for J, nd in enumerate(data)
                 for what, x in (("e", nd.e), ("P", nd.P)) if x * x != x), None)
     report.add("idempotent", bad is None, bad)
 
-    bad = _first_pair(k, lambda J, K: J != K and not (es[J] * es[K]).is_zero())
+    bad = _first_nonzero_product(es, es, lambda J, K: J == K)
     report.add("orthogonal", bad is None, f"e_J * e_K != 0 at {bad}")
 
     total = AlgebraElement(m, {})
@@ -217,18 +229,16 @@ def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
                f"{n_rec} idempotents for {lat.n_nodes} nodes" if bad is None
                else f"record {bad} has node_id {data[bad].node_id}")
 
-    bad = _first_pair(k, lambda J, K: not lat.preceq(J, K)
-                      and not (data[J].z * data[K].z).is_zero())
+    zs, ps = [nd.z for nd in data], [nd.P for nd in data]
+    bad = _first_nonzero_product(zs, zs, lat.preceq)
     report.add("z_orthogonality", bad is None,
                f"z_J * z_K != 0 at {bad} with J not preceq K")
 
-    bad = _first_pair(k, lambda J, K: not lat.preceq(J, K)
-                      and not (data[J].P * data[K].P).is_zero())
+    bad = _first_nonzero_product(ps, ps, lat.preceq)
     report.add("p_orthogonality", bad is None,
                f"P_J * P_K != 0 at {bad} with J not preceq K")
 
-    bad = _first_pair(k, lambda K, J: not lat.preceq(K, J)
-                      and not (es[K] * data[J].P).is_zero())
+    bad = _first_nonzero_product(es, ps, lat.preceq)
     report.add("e_p_orthogonality", bad is None,
                f"e_K * P_J != 0 at {bad} with K not preceq J")
 

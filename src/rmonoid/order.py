@@ -99,12 +99,6 @@ def _reach(succ: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
     return comp, [masks[c] for c in comp], [heights[c] for c in comp]
 
 
-def _left_graph(m: Monoid) -> list[list[int]]:
-    """Successor lists of x -> g*x, read off the k generator rows."""
-    rows = [m.row(g) for g in m.generators]
-    return [[r[x] for r in rows] for x in range(m.size)]
-
-
 def weak_preorder(m: Monoid) -> OrderRelation:
     """Compute u <= v as reachability in the right Cayley graph."""
     n, k = m.size, len(m.generators)
@@ -128,7 +122,7 @@ def is_j_trivial(m: Monoid, order: OrderRelation | None = None) -> bool:
     components: J = R meet L in a finite monoid."""
     order = order if order is not None else weak_preorder(m)
     return (order.is_partial_order
-            and len(set(_reach(_left_graph(m))[0])) == m.size)
+            and len(set(_reach(m.left_graph())[0])) == m.size)
 
 
 def check_left_absorption(m: Monoid, order: OrderRelation | None = None):

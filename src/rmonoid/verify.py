@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import AlgebraElement, basis, one
+from .algebra import AlgebraElement, RightFactor, basis, one
 from .errors import NotRTrivial
 from .lattice import build_semilattice, verify_weak_order_axioms
 from .monoid import Monoid
@@ -158,9 +158,10 @@ def run_full_suite(m: Monoid) -> Report:
     bad = None
     for nd in sys.data:
         J = nd.node_id
+        times_b = RightFactor(nd.B).left_mul
         BN = one(m)
         for _ in range(nd.N_B):
-            BN = BN * nd.B
+            BN = times_b(BN)
         for g in m.generators:
             if lat.preceq(lat.content(g), J):
                 continue
@@ -179,11 +180,12 @@ def run_full_suite(m: Monoid) -> Report:
             J = nd.node_id
             outside = [m.idempotent_power(g) for g in m.generators
                        if not lat.preceq(lat.content(g), J)]
+            bB = RightFactor(nd.B).translate
             for b in range(n):
                 row_b = m.row(b)
                 if not any(row_b[go] == b for go in outside):
                     continue
-                for c in (basis(m, b) * nd.B).coeffs:
+                for c in bB(b):
                     if c == b or not order.leq(b, c):
                         bad = (J, b, c)
                         break
@@ -203,12 +205,12 @@ def run_full_suite(m: Monoid) -> Report:
     bad = None
     for nd in sys.data:
         z = nd.z
-        w = one(m) - z
+        times_w = RightFactor(one(m) - z).left_mul
         geom = AlgebraElement(m, {})
         wpow = one(m)
         for _ in range(nd.N_z + 1):
             geom = geom + wpow
-            wpow = wpow * w
+            wpow = times_w(wpow)
         if z * geom != one(m) - wpow:
             bad = nd.node_id
             break

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from rmonoid import (StabilizationError, basis, from_coeffs, one,
-                     power_until_stable, zero)
+from rmonoid import (StabilizationError, Transformation, basis,
+                     build_free_lrb, build_hecke_a, close, from_coeffs,
+                     from_table, one, power_until_stable, zero)
+from rmonoid.algebra import RightFactor
 
-from conftest import hecke_elt
+from conftest import hecke_elt, random_transformation_monoids
 from oracle import vec_mul
 
 
@@ -161,3 +163,85 @@ def test_support_and_terms_sorted(hecke4):
     e = from_coeffs(m, {5: -1, 2: 3, 9: 7})
     assert e.support() == [2, 5, 9]
     assert e.terms() == [(2, 3), (5, -1), (9, 7)]
+
+
+def _kernel_inputs():
+    """(monoid, its full table, whether it was built by closure) triples.
+
+    A closure-built monoid comes fresh, with its table taken from an
+    independent copy, so products walk its left Cayley tree; the
+    `from_table` monoid has every row built and reads products off them.
+    """
+    builders = [lambda n=n: build_hecke_a(n) for n in range(2, 6)]
+    builders += [lambda k=k: build_free_lrb(k) for k in range(1, 5)]
+    builders.append(lambda: close([Transformation((0, 2, 2)),
+                                   Transformation((1, 1, 2))]))
+    for decreasing in (True, False):
+        for seed in range(6):
+            builders.append(lambda d=decreasing, s=seed:
+                            random_transformation_monoids(1, s, d)[0])
+    for build in builders:
+        yield build(), build().table(), True
+    # a table whose identity is not id 0, with explicit generators
+    m = close([Transformation((0, 0, 2, 1)), Transformation((1, 1, 1, 3))])
+    n, t = m.size, m.table()
+    perm = random.Random(7).sample(range(n), n)
+    assert perm[m.identity] != 0
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[perm[x]][perm[y]] = perm[t[x][y]]
+    tm = from_table(table, identity=perm[m.identity],
+                    generators=[perm[g] for g in m.generators])
+    yield tm, table, False
+
+
+def _dense(m, a):
+    return [a.coefficient(x) for x in range(m.size)]
+
+
+def test_product_kernel_matches_dense_oracle():
+    rng = random.Random(8081)
+    for m, table, closed in _kernel_inputs():
+        n = m.size
+        idem_gens = [basis(m, m.idempotent_power(g)) for g in m.generators]
+        for trial in range(6):
+            def rand_elem():
+                # coefficients that cancel, and factors (1 - g^omega)
+                # whose translates by g^omega vanish
+                a = from_coeffs(m, {rng.randrange(n): rng.choice((-1, 1, 2))
+                                    for _ in range(rng.randint(1, 8))})
+                for go in rng.sample(idem_gens, min(2, len(idem_gens))):
+                    a = a - a * go if trial % 2 else a - go * a
+                return a
+
+            a, b = rand_elem(), rand_elem()
+            want = vec_mul(table, _dense(m, a), _dense(m, b))
+            rf = RightFactor(b)
+            assert rf.left_mul(a).coeffs == {
+                z: c for z, c in enumerate(want) if c}
+            assert a * b == from_coeffs(m, dict(enumerate(want)))
+            for x in range(n):
+                xb = vec_mul(table, [int(y == x) for y in range(n)],
+                             _dense(m, b))
+                assert rf.translate(x) == {z: c for z, c in enumerate(xb) if c}
+        if closed:
+            # products read the generator rows, never another row
+            built = {x for x in range(n) if m.cached_row(x) is not None}
+            assert built <= set(m.generators)
+
+
+def test_left_tree_spans_the_left_cayley_graph():
+    for m, table, _ in _kernel_inputs():
+        parent, step_row = m.left_tree()
+        for x in range(m.size):
+            depth = 0
+            y = x
+            while y != m.identity:
+                # y = g * parent[y] for the generator whose row is step_row[y]
+                g = next(g for g in m.generators if m.row(g) is step_row[y])
+                assert table[g][parent[y]] == y
+                y = parent[y]
+                depth += 1
+                assert depth <= m.size
+        assert parent[m.identity] is None and step_row[m.identity] is None

@@ -145,6 +145,15 @@ def test_huge_integer_literal_exit_3(capsys, spec):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_spec_exit_3(capsys):
+    depth = 100_000
+    spec = '{"kind":"hecke_a","n":' + "[" * depth + "]" * depth + "}"
+    assert main(["analyze", spec]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: json:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_spec_from_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(LRB2)

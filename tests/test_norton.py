@@ -461,6 +461,21 @@ def test_idempotents_checks_p_and_z_after_construction(
             f"{what} at node {node} is 2)") in lines
 
 
+def test_leading_term_check_names_lowest_bad_term():
+    m = build_hecke_a(3)
+    lat = build_semilattice(m)
+    sys_ = e_system(lat, "general")
+    # nothing is strictly above a maximal node, so every term but T is bad
+    J = next(K for K in range(lat.n_nodes) if not lat.strictly_above(K))
+    T = sys_.data[J].T
+    a, b = sorted(x for x in range(m.size) if x != T)[:2]
+    sys_.data[J].z = from_coeffs(m, {T: 1, b: 1, a: 1})
+    detail = {c.name: c.detail for c in verify_system(lat, sys_).checks}
+    assert detail["nonzero_with_unit_leading_term"] == (
+        f"term {a} of z at node {J} has content {lat.content(a)}, "
+        f"not strictly above {J}")
+
+
 def test_count_equals_lattice_checks_records(lrb2):
     lat = build_semilattice(lrb2)
     k = lat.n_nodes
@@ -472,6 +487,48 @@ def test_count_equals_lattice_checks_records(lrb2):
         edit(sys_.data)
         lines = verify_system(lat, sys_).lines()
         assert f"FAIL  count_equals_lattice  ({detail})" in lines
+
+
+def test_hecke6_idempotents_read_only_generator_rows():
+    # every product steps along the left Cayley tree, whose edges are the
+    # k generator rows
+    m = build_hecke_a(6)
+    lat = build_semilattice(m)
+    sys = e_system(lat, "auto")
+    assert verify_system(lat, sys).passed
+    forced = [x for x in range(m.size) if m._rows[x] is not None]
+    assert forced == sorted(m.generators)
+
+
+def test_orthogonality_checks_name_first_pair_in_row_major_order():
+    # several pairs fail each scan; the scans run column by column but
+    # must still name the first failing pair in row-major order
+    m = build_hecke_a(3)
+    lat = build_semilattice(m)
+    sys = e_system(lat, "general")
+    for J in (2, 3):
+        sys.data[J].e = sys.data[J].z = sys.data[J].P = one(m)
+    detail = {c.name: c.detail for c in verify_system(lat, sys).checks}
+    es = [nd.e for nd in sys.data]
+    zs = [nd.z for nd in sys.data]
+    ps = [nd.P for nd in sys.data]
+    k = lat.n_nodes
+    for name, left, right, skip, text in (
+        ("orthogonal", es, es, lambda a, b: a == b,
+         "e_J * e_K != 0 at (0, 2)"),
+        ("z_orthogonality", zs, zs, lat.preceq,
+         "z_J * z_K != 0 at (1, 2) with J not preceq K"),
+        ("p_orthogonality", ps, ps, lat.preceq,
+         "P_J * P_K != 0 at (1, 2) with J not preceq K"),
+        ("e_p_orthogonality", es, ps, lat.preceq,
+         "e_K * P_J != 0 at (1, 2) with K not preceq J"),
+    ):
+        assert detail[name] == text
+        failing = [(a, b) for a in range(k) for b in range(k)
+                   if not skip(a, b) and not (left[a] * right[b]).is_zero()]
+        assert str(failing[0]) in text
+        # the column-major first pair differs, so the order is pinned
+        assert min(failing, key=lambda p: (p[1], p[0])) != failing[0]
 
 
 def test_deterministic_serialization(matrix_monoid):
