@@ -25,8 +25,7 @@ from .errors import StabilizationError
 from .monoid import Monoid
 
 __all__ = [
-    "AlgebraElement", "RightFactor", "zero", "one", "basis", "from_coeffs",
-    "power_until_stable",
+    "AlgebraElement", "zero", "one", "basis", "from_coeffs", "power_until_stable",
 ]
 
 
@@ -147,7 +146,7 @@ class RightFactor:
     """A fixed right factor b with its left translates x*b, memoised per x.
 
     x*b is read off x's row when that row is already built. Otherwise it
-    is g*(s*b) for x = g*s on the left Cayley tree (`Monoid.left_tree`):
+    is g*(s*b) for x = g*s on the left Cayley tree (`Monoid._left_tree`):
     one step y -> g*y along g's row per term of s*b, with s*b memoised or
     found the same way. Terms that merge and cancel are dropped at once,
     so no translate stores a zero and a vanishing s*b ends its subtree.
@@ -168,7 +167,7 @@ class RightFactor:
         t = self._memo.get(x)
         if t is None:
             m = self.monoid
-            r = m.cached_row(x)
+            r = m._cached_row(x)
             if r is None:
                 return self._walk(x)
             t = self._memo[x] = _image(r, self._memo[m.identity])
@@ -177,7 +176,7 @@ class RightFactor:
     def _walk(self, x: int) -> dict[int, int]:
         """x*b along the left Cayley tree, memoising the path to x."""
         memo = self._memo
-        parent, step_row = self.monoid.left_tree()
+        parent, step_row = self.monoid._left_tree()
         path = [x]
         x = parent[x]
         while (t := memo.get(x)) is None:
@@ -198,8 +197,13 @@ class RightFactor:
         for x, cx in a.coeffs.items():
             t = memo.get(x)
             if t is None:
-                r = m.cached_row(x)
-                if r is not None:   # a built row is as cheap as a memo entry
+                r = m._cached_row(x)
+                if r is not None:
+                    # One pass over the row, as over a memo entry. Going
+                    # through `translate` would first build and store x*b,
+                    # which a one-off product (every product on a
+                    # `from_table` input or once `verify` has built all
+                    # rows) never reads again.
                     for y, c in b:
                         z = r[y]
                         out[z] = get(z, 0) + cx * c

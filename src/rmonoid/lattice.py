@@ -130,7 +130,7 @@ def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilatt
     n = m.size
 
     # S*e is what e reaches in the left Cayley graph
-    left_ideal = _reach(m.left_graph())[1]
+    left_ideal = _reach(m._left_graph())[1]
     nodes: list[LatticeNode] = []
     ideal_masks: list[int] = []
     mask_to_node: dict[int, int] = {}

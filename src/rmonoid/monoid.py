@@ -78,7 +78,7 @@ class Monoid:
     Multiplication walks generator words along the right Cayley graph, so
     it needs no table. Left translation y -> x*y steps along a BFS tree of
     the left Cayley graph y -> g*y instead, whose edges are the k
-    generator rows (`left_graph`, `left_tree`). Full rows, which
+    generator rows (`_left_graph`, `_left_tree`). Full rows, which
     verification scans, are built lazily by `row` and cached. All queries
     are pure: the internal caches only ever receive values that are
     deterministic functions of the construction data, so concurrent
@@ -97,7 +97,7 @@ class Monoid:
         self._rows = table if table is not None else [None] * size
         self._words: list[tuple[int, ...] | None] = [None] * size
         self._idem_power: dict[int, int] = {}
-        self._left_tree = None
+        self._ltree = None
         self.associativity_verified = associativity_verified
 
     def __len__(self) -> int:
@@ -127,28 +127,28 @@ class Monoid:
             self._rows[x] = r
         return r
 
-    def cached_row(self, x: int) -> list[int] | None:
+    def _cached_row(self, x: int) -> list[int] | None:
         """The row of `x` if it is already built, else None."""
         return self._rows[x]
 
-    def left_graph(self) -> list[list[int]]:
+    def _left_graph(self) -> list[list[int]]:
         """Per element y, the products g*y over the generators in input
         order: the left Cayley graph, read off the k generator rows."""
         rows = [self.row(g) for g in self.generators]
         return [[r[y] for r in rows] for y in range(self.size)]
 
-    def left_tree(self) -> tuple[list[int | None], list[list[int] | None]]:
+    def _left_tree(self) -> tuple[list[int | None], list[list[int] | None]]:
         """(parent, step_row): x = g*parent[x], with step_row[x] the row of
-        that generator g, on a BFS tree of `left_graph` from the identity.
+        that generator g, on a BFS tree of `_left_graph` from the identity.
 
         Built once, in O(n*k); parent and step_row are None at the identity.
         """
-        if self._left_tree is None:
-            _, parent, gen = _id_tree(self.identity, self.left_graph())
+        if self._ltree is None:
+            _, parent, gen = _id_tree(self.identity, self._left_graph())
             rows = [self.row(g) for g in self.generators]
-            self._left_tree = (parent, [None if gi is None else rows[gi]
-                                        for gi in gen])
-        return self._left_tree
+            self._ltree = (parent, [None if gi is None else rows[gi]
+                                    for gi in gen])
+        return self._ltree
 
     def mult(self, x: int, y: int) -> int:
         """x*y, walking y's generator word from x: O(|word(y)|), no row."""

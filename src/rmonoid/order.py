@@ -122,7 +122,7 @@ def is_j_trivial(m: Monoid, order: OrderRelation | None = None) -> bool:
     components: J = R meet L in a finite monoid."""
     order = order if order is not None else weak_preorder(m)
     return (order.is_partial_order
-            and len(set(_reach(m.left_graph())[0])) == m.size)
+            and len(set(_reach(m._left_graph())[0])) == m.size)
 
 
 def check_left_absorption(m: Monoid, order: OrderRelation | None = None):

@@ -227,13 +227,13 @@ def test_product_kernel_matches_dense_oracle():
                 assert rf.translate(x) == {z: c for z, c in enumerate(xb) if c}
         if closed:
             # products read the generator rows, never another row
-            built = {x for x in range(n) if m.cached_row(x) is not None}
+            built = {x for x in range(n) if m._cached_row(x) is not None}
             assert built <= set(m.generators)
 
 
 def test_left_tree_spans_the_left_cayley_graph():
     for m, table, _ in _kernel_inputs():
-        parent, step_row = m.left_tree()
+        parent, step_row = m._left_tree()
         for x in range(m.size):
             depth = 0
             y = x
