@@ -95,6 +95,7 @@ class Monoid:
         self._parent = parent              # BFS tree: parent[x], None at identity
         self._parent_gen = parent_gen      # generator position used to reach x
         self._rows = table if table is not None else [None] * size
+        self._rows_built = size if table is not None else 0
         self._words: list[tuple[int, ...] | None] = [None] * size
         self._idem_power: dict[int, int] = {}
         self._ltree = None
@@ -125,11 +126,19 @@ class Monoid:
                 if par[y] is not None:
                     r[y] = step[r[par[y]]][pgen[y]]
             self._rows[x] = r
+            self._rows_built += 1
         return r
 
     def _cached_row(self, x: int) -> list[int] | None:
         """The row of `x` if it is already built, else None."""
         return self._rows[x]
+
+    def _all_rows_built(self) -> bool:
+        """Whether every row is built: always after `from_table` or
+        `table`. A row built twice by concurrent readers counts twice, so
+        this may turn true early, never late; products that ask are the
+        same either way."""
+        return self._rows_built >= self.size
 
     def _left_graph(self) -> list[list[int]]:
         """Per element y, the products g*y over the generators in input
@@ -137,17 +146,19 @@ class Monoid:
         rows = [self.row(g) for g in self.generators]
         return [[r[y] for r in rows] for y in range(self.size)]
 
-    def _left_tree(self) -> tuple[list[int | None], list[list[int] | None]]:
-        """(parent, step_row): x = g*parent[x], with step_row[x] the row of
-        that generator g, on a BFS tree of `_left_graph` from the identity.
+    def _left_tree(self) -> tuple[list[int], list[int | None],
+                                  list[list[int] | None]]:
+        """(order, parent, step_row) of a BFS tree of `_left_graph` from the
+        identity: x = g*parent[x], with step_row[x] the row of that
+        generator g, and every element listed in `order` after its parent.
 
         Built once, in O(n*k); parent and step_row are None at the identity.
         """
         if self._ltree is None:
-            _, parent, gen = _id_tree(self.identity, self._left_graph())
+            order, parent, gen = _id_tree(self.identity, self._left_graph())
             rows = [self.row(g) for g in self.generators]
-            self._ltree = (parent, [None if gi is None else rows[gi]
-                                    for gi in gen])
+            self._ltree = (order, parent, [None if gi is None else rows[gi]
+                                           for gi in gen])
         return self._ltree
 
     def mult(self, x: int, y: int) -> int:

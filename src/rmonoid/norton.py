@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (AlgebraElement, RightFactor, basis, one,
-                      power_until_stable, zero)
+from .algebra import (AlgebraElement, basis, one, power_until_stable,
+                      right_multiplier, zero)
 from .errors import ConsistencyError
 from .lattice import Semilattice
 from .order import is_j_trivial
@@ -173,20 +173,16 @@ def e_system(lat: Semilattice, mode: str = "auto") -> IdempotentSystem:
     return IdempotentSystem(data=data, mode_used=mode)
 
 
-def _first_nonzero_product(left, right, skip) -> tuple[int, int] | None:
-    """First (a, b) in row-major order, skip(a, b) false, with
-    left[a] * right[b] != 0.
-
-    The scan runs column by column, so each right[b] keeps its translates
-    for every a, and a column stops at the row of the best pair so far.
+def _scan_column(best, left, b, times_rb, skip):
+    """One column of a scan for the first (a, b) in row-major order with
+    skip(a, b) false and left[a] * right[b] != 0, times_rb being
+    a -> a * right[b]: the first such pair in column b above the row of
+    `best`, else `best`. Columns come in increasing b, so a column stops
+    at the row of the best pair so far.
     """
-    best = None
-    for b, rb in enumerate(right):
-        times_rb = RightFactor(rb).left_mul
-        for a in range(len(left) if best is None else best[0]):
-            if not skip(a, b) and not times_rb(left[a]).is_zero():
-                best = (a, b)
-                break
+    for a in range(len(left) if best is None else best[0]):
+        if not skip(a, b) and not times_rb(left[a]).is_zero():
+            return (a, b)
     return best
 
 
@@ -197,20 +193,48 @@ def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
     ways, the sum being 1, the unit leading terms of every z_J, P_J and
     e_J, one record per node in node order, and the intermediate
     orthogonality facts for z, P and e*P. A failure names the first
-    element and node at fault. The report is also stored on the system
-    record. Nothing raises; the CLI turns failures into exit codes.
+    element and node at fault, the lowest node first and e before P, or
+    the first pair in row-major order. The report is also stored on the
+    system record. Nothing raises; the CLI turns failures into exit codes.
+
+    Every check that multiplies by e_J, P_J or z_J on the right shares
+    one `right_multiplier` of that factor (one sweep of its left
+    translates): three per node, only one kept at a time.
     """
     m = lat.monoid
     report = Report()
     data = sys.data[:lat.n_nodes]   # extra records fail count_equals_lattice
     es = [nd.e for nd in data]
 
-    bad = next((f"{what} at node {J}" for J, nd in enumerate(data)
-                for what, x in (("e", nd.e), ("P", nd.P)) if x * x != x), None)
-    report.add("idempotent", bad is None, bad)
+    # each orthogonality scan: its right factor, left list, skip, detail
+    scans = {
+        "orthogonal": ("e", es, lambda J, K: J == K, "e_J * e_K != 0 at {}"),
+        "z_orthogonality": ("z", [nd.z for nd in data], lat.preceq,
+                            "z_J * z_K != 0 at {} with J not preceq K"),
+        "p_orthogonality": ("P", [nd.P for nd in data], lat.preceq,
+                            "P_J * P_K != 0 at {} with J not preceq K"),
+        "e_p_orthogonality": ("P", es, lat.preceq,
+                              "e_K * P_J != 0 at {} with K not preceq J"),
+    }
+    first = dict.fromkeys(scans)
+    idem = None
+    for K, nd in enumerate(data):
+        for what in "ePz":
+            b = getattr(nd, what)
+            times_b = right_multiplier(b)
+            if what != "z" and idem is None and times_b(b) != b:
+                idem = f"{what} at node {K}"
+            for name, (right, left, skip, _) in scans.items():
+                if right == what:
+                    first[name] = _scan_column(first[name], left, K,
+                                               times_b, skip)
+            del times_b
 
-    bad = _first_nonzero_product(es, es, lambda J, K: J == K)
-    report.add("orthogonal", bad is None, f"e_J * e_K != 0 at {bad}")
+    def add_scan(name):
+        report.add(name, first[name] is None, scans[name][3].format(first[name]))
+
+    report.add("idempotent", idem is None, idem)
+    add_scan("orthogonal")
 
     total = AlgebraElement(m, {})
     for e in es:
@@ -229,18 +253,8 @@ def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
                f"{n_rec} idempotents for {lat.n_nodes} nodes" if bad is None
                else f"record {bad} has node_id {data[bad].node_id}")
 
-    zs, ps = [nd.z for nd in data], [nd.P for nd in data]
-    bad = _first_nonzero_product(zs, zs, lat.preceq)
-    report.add("z_orthogonality", bad is None,
-               f"z_J * z_K != 0 at {bad} with J not preceq K")
-
-    bad = _first_nonzero_product(ps, ps, lat.preceq)
-    report.add("p_orthogonality", bad is None,
-               f"P_J * P_K != 0 at {bad} with J not preceq K")
-
-    bad = _first_nonzero_product(es, ps, lat.preceq)
-    report.add("e_p_orthogonality", bad is None,
-               f"e_K * P_J != 0 at {bad} with K not preceq J")
+    for name in ("z_orthogonality", "p_orthogonality", "e_p_orthogonality"):
+        add_scan(name)
 
     sys.verification = report
     return report

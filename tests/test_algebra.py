@@ -7,7 +7,7 @@ import pytest
 from rmonoid import (StabilizationError, Transformation, basis,
                      build_free_lrb, build_hecke_a, close, from_coeffs,
                      from_table, one, power_until_stable, zero)
-from rmonoid.algebra import RightFactor
+from rmonoid.algebra import RightFactor, left_translates, mul_translates
 
 from conftest import hecke_elt, random_transformation_monoids
 from oracle import vec_mul
@@ -221,10 +221,15 @@ def test_product_kernel_matches_dense_oracle():
             assert rf.left_mul(a).coeffs == {
                 z: c for z, c in enumerate(want) if c}
             assert a * b == from_coeffs(m, dict(enumerate(want)))
+            translates = left_translates(b)
+            assert len(translates) == n
+            assert mul_translates(a, translates).coeffs == rf.left_mul(a).coeffs
             for x in range(n):
                 xb = vec_mul(table, [int(y == x) for y in range(n)],
                              _dense(m, b))
-                assert rf.translate(x) == {z: c for z, c in enumerate(xb) if c}
+                want = {z: c for z, c in enumerate(xb) if c}
+                assert rf.translate(x) == want
+                assert translates[x] == want
         if closed:
             # products read the generator rows, never another row
             built = {x for x in range(n) if m._cached_row(x) is not None}
@@ -233,7 +238,12 @@ def test_product_kernel_matches_dense_oracle():
 
 def test_left_tree_spans_the_left_cayley_graph():
     for m, table, _ in _kernel_inputs():
-        parent, step_row = m._left_tree()
+        order, parent, step_row = m._left_tree()
+        assert sorted(order) == list(range(m.size))
+        assert order[0] == m.identity
+        position = {x: i for i, x in enumerate(order)}
+        assert all(position[parent[x]] < position[x]
+                   for x in order if x != m.identity)
         for x in range(m.size):
             depth = 0
             y = x

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -207,3 +211,24 @@ def test_internal_error_exit_5(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: boom\n"
     assert "Traceback" not in captured.err
+
+
+def test_python_m_rmonoid_runs_the_cli():
+    # a checkout without an install runs the CLI as `python -m rmonoid`
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(spec):
+        return subprocess.run(
+            [sys.executable, "-m", "rmonoid", "verify", spec],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    ok = run('{"kind":"hecke_a","n":3}')
+    assert ok.returncode == 0 and ok.stderr == ""
+    lines = ok.stdout.splitlines()
+    assert lines and all(line.startswith("PASS  ") for line in lines)
+
+    bad = run('{"kind":"hecke_a"}')
+    assert bad.returncode == 3 and bad.stdout == ""
+    assert len(bad.stderr.splitlines()) == 1
+    assert bad.stderr.startswith("input error: ")

@@ -6,6 +6,7 @@ import pytest
 from rmonoid import (basis, build_hecke_a, build_semilattice, e_system,
                      from_coeffs, is_j_trivial, node_data, one, verify_system,
                      weak_preorder)
+from rmonoid.algebra import left_translates
 from rmonoid.output import system_payload, to_json
 from rmonoid.verify import _p_closed_form
 
@@ -482,11 +483,50 @@ def test_count_equals_lattice_checks_records(lrb2):
     for edit, detail in (
             (lambda d: d.pop(), f"{k - 1} idempotents for {k} nodes"),
             (lambda d: d.append(d[0]), f"{k + 1} idempotents for {k} nodes"),
-            (lambda d: d.reverse(), f"record 0 has node_id {k - 1}")):
+            (lambda d: d.reverse(), f"record 0 has node_id {k - 1}"),
+            (lambda d: d.clear(), f"0 idempotents for {k} nodes")):
         sys_ = e_system(lat, mode="general")
         edit(sys_.data)
         lines = verify_system(lat, sys_).lines()
         assert f"FAIL  count_equals_lattice  ({detail})" in lines
+    # no records at all: nothing to multiply, and no e_J to sum to 1
+    assert "FAIL  sum_to_one  (sum of all e_J is not 1)" in lines
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    ((("P", 2), ("e", 3)), "P at node 2"),
+    ((("P", 1), ("e", 1)), "e at node 1"),
+])
+def test_idempotent_check_names_lowest_node_e_before_p(corrupt, detail):
+    # a fresh monoid, so e_J and P_J come from two separate sweeps
+    lat = build_semilattice(build_hecke_a(3))
+    sys_ = e_system(lat, "general")
+    for what, J in corrupt:
+        rec = sys_.data[J]
+        setattr(rec, what, getattr(rec, what).scale(2))
+    checks = {c.name: c.detail for c in verify_system(lat, sys_).checks}
+    assert checks["idempotent"] == detail
+
+
+def test_verify_system_sweeps_each_right_factor_once(monkeypatch):
+    # e_J, P_J and z_J each get one sweep of left translates, shared by
+    # every check that multiplies by them on the right; a fresh monoid,
+    # since once all rows are built products read them instead
+    from rmonoid import algebra
+    swept = []
+
+    def counting(b):
+        swept.append(b)
+        return left_translates(b)
+    monkeypatch.setattr(algebra, "left_translates", counting)
+    m = build_hecke_a(4)
+    lat = build_semilattice(m)
+    sys_ = e_system(lat, "general")
+    assert verify_system(lat, sys_).passed
+    assert swept == [getattr(nd, what) for nd in sys_.data for what in "ePz"]
+    swept.clear()
+    m.table()
+    assert verify_system(lat, sys_).passed and swept == []
 
 
 def test_hecke6_idempotents_read_only_generator_rows():
