@@ -152,10 +152,6 @@ class RightFactor:
     one step y -> g*y along g's row per term of s*b, with s*b memoised or
     found the same way. Terms that merge and cancel are dropped at once,
     so no translate stores a zero and a vanishing s*b ends its subtree.
-
-    x*b = g*(s*b) relies on associativity, as `Monoid.mult` does; on a
-    `from_table` input accepted without the associativity check it is
-    taken on trust, like every product there.
     """
 
     __slots__ = ("monoid", "_memo")
@@ -203,9 +199,8 @@ class RightFactor:
                 if r is not None:
                     # One pass over the row, as over a memo entry. Going
                     # through `translate` would first build and store x*b,
-                    # which a one-off product (every product on a
-                    # `from_table` input or once `verify` has built all
-                    # rows) never reads again.
+                    # which a one-off product (every product once `verify`
+                    # has built all rows) never reads again.
                     for y, c in b:
                         z = r[y]
                         out[z] = get(z, 0) + cx * c
@@ -220,8 +215,7 @@ def left_translates(b: AlgebraElement) -> list[dict[int, int]]:
     """Every left translate x*b, as a list indexed by x; do not mutate it.
 
     One sweep of the left Cayley tree in BFS order: x*b is g*(s*b) for
-    x = g*s, and the order has built s*b before x. Like `RightFactor`, it
-    relies on associativity.
+    x = g*s, and the order has built s*b before x.
     """
     m = b.monoid
     order, parent, step_row = m._left_tree()
@@ -247,13 +241,11 @@ def mul_translates(a: AlgebraElement,
 def right_multiplier(b: AlgebraElement):
     """a -> a*b, for scans that multiply many elements a by one b.
 
-    Once every row is built (every `from_table` monoid, every monoid in
-    `verify`), reading x*b off x's row inside the product costs no more
-    than reading a stored translate, so only the x in a's support are
-    read (`RightFactor.left_mul`); products on a table accepted without
-    the associativity check stay row reads. Otherwise all n translates
-    are built in one sweep (`left_translates`) and every product reads
-    them.
+    Once every row is built (every monoid in `verify`), reading x*b off
+    x's row inside the product costs no more than reading a stored
+    translate, so only the x in a's support are read
+    (`RightFactor.left_mul`). Otherwise all n translates are built in one
+    sweep (`left_translates`) and every product reads them.
     """
     if b.monoid._all_rows_built():
         return RightFactor(b).left_mul

@@ -49,7 +49,7 @@ def build_free_lrb(k: int, names: list[str] | None = None,
         if size > cap:
             raise CapExceeded(cap, size)
     return _closure((), k, lambda u, g: u if g in u else u + (g,), cap,
-                    names or None)
+                    names)
 
 
 def build_hecke_a(n: int, names: list[str] | None = None,
@@ -75,8 +75,9 @@ def build_hecke_a(n: int, names: list[str] | None = None,
             return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
         return w
 
-    m = _closure(tuple(range(n)), n - 1, step, cap,
-                 names or [f"T{i}" for i in range(1, n)])
+    if names is None:
+        names = [f"T{i}" for i in range(1, n)]
+    m = _closure(tuple(range(n)), n - 1, step, cap, names)
     if m.size != size:
         raise ConsistencyError(
             f"0-Hecke closure produced {m.size} elements, expected {size}"
@@ -97,29 +98,6 @@ class MonoidSpec:
     n: int | None = None
     names: tuple[str, ...] | None = None
     cap: int = DEFAULT_CAP
-
-    def as_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "transformations":
-            d["degree"] = self.degree
-            d["generators"] = [list(g) for g in self.generators]
-        elif self.kind == "table":
-            d["table"] = [list(r) for r in self.table]
-            d["identity"] = self.identity
-            if self.generators is not None:
-                d["generators"] = list(self.generators)
-        elif self.kind == "free_lrb":
-            d["k"] = self.k
-        else:
-            d["n"] = self.n
-        if self.names is not None:
-            d["names"] = list(self.names)
-        if self.cap != DEFAULT_CAP:
-            d["cap"] = self.cap
-        return d
-
-    def serialize(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def _require(d: dict, field: str, typ, pred=None, why: str = ""):
@@ -215,19 +193,18 @@ def parse_spec(text: str | dict) -> MonoidSpec:
 
 def load(spec: MonoidSpec) -> Monoid:
     """Build the monoid a spec describes."""
+    names = list(spec.names) if spec.names is not None else None
     if spec.kind == "transformations":
         return close([Transformation(g) for g in spec.generators],
-                     cap=spec.cap, names=list(spec.names) if spec.names else None)
+                     cap=spec.cap, names=names)
     if spec.kind == "table":
         if len(spec.table) > spec.cap:
             raise CapExceeded(spec.cap, len(spec.table))
         return from_table(
             [list(r) for r in spec.table], identity=spec.identity,
             generators=list(spec.generators) if spec.generators is not None else None,
-            names=list(spec.names) if spec.names else None,
+            names=names,
         )
     if spec.kind == "free_lrb":
-        return build_free_lrb(spec.k, cap=spec.cap,
-                              names=list(spec.names) if spec.names else None)
-    return build_hecke_a(spec.n, cap=spec.cap,
-                         names=list(spec.names) if spec.names else None)
+        return build_free_lrb(spec.k, cap=spec.cap, names=names)
+    return build_hecke_a(spec.n, cap=spec.cap, names=names)

@@ -19,6 +19,8 @@ fixed generator order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 from .errors import CapExceeded, SpecError
 
@@ -28,10 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 1_000_000
-
-# Exhaustive associativity checking is O(n^3); beyond this bound a table is
-# accepted unverified and the monoid is flagged.
-ASSOC_CHECK_BOUND = 256
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,11 @@ def compose(s: Transformation, t: Transformation) -> Transformation:
 class Monoid:
     """Immutable finite monoid over dense element ids.
 
-    Multiplication walks generator words along the right Cayley graph, so
-    it needs no table. Left translation y -> x*y steps along a BFS tree of
+    A monoid is its generator steps alone: `gen_step[x][i]` is the id of
+    x*g_i, and every element is reached from the identity by them. Size,
+    words and the fill order of rows come from one BFS tree of that right
+    Cayley graph. Multiplication walks generator words along it, so it
+    needs no table. Left translation y -> x*y steps along a BFS tree of
     the left Cayley graph y -> g*y instead, whose edges are the k
     generator rows (`_left_graph`, `_left_tree`). Full rows, which
     verification scans, are built lazily by `row` and cached. All queries
@@ -85,21 +86,21 @@ class Monoid:
     readers see consistent results.
     """
 
-    def __init__(self, *, size, identity, generators, gen_names, gen_step,
-                 parent, parent_gen, table=None, associativity_verified=True):
-        self.size = size
+    def __init__(self, *, identity, generators, gen_names, gen_step):
         self.identity = identity
         self.generators = list(generators)
         self.gen_names = list(gen_names)
         self._gen_step = gen_step          # per element: id of x * g_i
-        self._parent = parent              # BFS tree: parent[x], None at identity
-        self._parent_gen = parent_gen      # generator position used to reach x
-        self._rows = table if table is not None else [None] * size
-        self._rows_built = size if table is not None else 0
-        self._words: list[tuple[int, ...] | None] = [None] * size
+        # BFS tree: ids in discovery order, parent[x] and the generator
+        # position used to reach x (None at the identity)
+        self._order, self._parent, self._parent_gen = _id_tree(identity,
+                                                               gen_step)
+        self.size = len(self._order)
+        self._rows: list[list[int] | None] = [None] * self.size
+        self._rows_built = 0
+        self._words: list[tuple[int, ...] | None] = [None] * self.size
         self._idem_power: dict[int, int] = {}
         self._ltree = None
-        self.associativity_verified = associativity_verified
 
     def __len__(self) -> int:
         return self.size
@@ -122,9 +123,8 @@ class Monoid:
             r = [0] * self.size
             r[self.identity] = x
             step, par, pgen = self._gen_step, self._parent, self._parent_gen
-            for y in range(self.size):
-                if par[y] is not None:
-                    r[y] = step[r[par[y]]][pgen[y]]
+            for y in islice(self._order, 1, None):
+                r[y] = step[r[par[y]]][pgen[y]]
             self._rows[x] = r
             self._rows_built += 1
         return r
@@ -134,8 +134,8 @@ class Monoid:
         return self._rows[x]
 
     def _all_rows_built(self) -> bool:
-        """Whether every row is built: always after `from_table` or
-        `table`. A row built twice by concurrent readers counts twice, so
+        """Whether every row is built, as after `table` or verification's
+        row scans. A row built twice by concurrent readers counts twice, so
         this may turn true early, never late; products that ask are the
         same either way."""
         return self._rows_built >= self.size
@@ -226,21 +226,17 @@ class Monoid:
         return result
 
 
-def _bfs_build(identity_key, k, step, cap):
+def _bfs_build(identity_key, k, step, cap) -> list[list[int]]:
     """Generic closure by BFS over right multiplication by k generators.
 
     `step(key, gi)` produces the canonical key of `key * g_i`. Returns the
-    keys in discovery order plus BFS tree arrays. Raises CapExceeded as
-    soon as the element count passes `cap`.
+    generator steps over ids in discovery order (the identity is id 0).
+    Raises CapExceeded as soon as the element count passes `cap`.
     """
     index = {identity_key: 0}
     keys = [identity_key]
-    parent = [None]
-    parent_gen = [None]
     gen_step = []
-    pos = 0
-    while pos < len(keys):
-        key = keys[pos]
+    for key in keys:
         r = []
         for gi in range(k):
             nk = step(key, gi)
@@ -251,12 +247,9 @@ def _bfs_build(identity_key, k, step, cap):
                     raise CapExceeded(cap, nid + 1)
                 index[nk] = nid
                 keys.append(nk)
-                parent.append(pos)
-                parent_gen.append(gi)
             r.append(nid)
         gen_step.append(r)
-        pos += 1
-    return keys, parent, parent_gen, gen_step
+    return gen_step
 
 
 def _id_tree(root: int, succ: list[list[int]]):
@@ -292,15 +285,12 @@ def _closure(identity_key, k, step, cap, names) -> Monoid:
     """
     if names is not None and len(names) != k:
         raise SpecError("names", "one name per generator required")
-    keys, parent, parent_gen, gen_step = _bfs_build(identity_key, k, step, cap)
+    gen_step = _bfs_build(identity_key, k, step, cap)
     return Monoid(
-        size=len(keys),
         identity=0,
         generators=gen_step[0],
         gen_names=names or [f"g{i}" for i in range(k)],
         gen_step=gen_step,
-        parent=parent,
-        parent_gen=parent_gen,
     )
 
 
@@ -331,14 +321,13 @@ def close(generators: list[Transformation], cap: int = DEFAULT_CAP,
 
 def from_table(table: list[list[int]], identity: int = 0,
                generators: list[int] | None = None,
-               names: list[str] | None = None,
-               assoc_check_bound: int = ASSOC_CHECK_BOUND) -> Monoid:
+               names: list[str] | None = None) -> Monoid:
     """Wrap an explicit multiplication table as a Monoid.
 
-    The identity axiom is always checked. Associativity is checked
-    exhaustively for sizes up to `assoc_check_bound`; larger tables are
-    accepted with `associativity_verified=False`. The generators must reach
-    every element from the identity, since words are assigned by BFS.
+    Checks the entries, the identity axiom, that the generators reach
+    every element from the identity (words are assigned by BFS) and then
+    associativity, by Light's test. The monoid keeps only the generator
+    columns of the table; rows are rebuilt from them on request.
     """
     n = len(table)
     if n == 0:
@@ -355,20 +344,6 @@ def from_table(table: list[list[int]], identity: int = 0,
         if table[identity][x] != x or table[x][identity] != x:
             raise SpecError("identity", f"identity axiom fails at element {x}")
 
-    verified = n <= assoc_check_bound
-    if verified:
-        for x in range(n):
-            tx = table[x]
-            for y in range(n):
-                txy = table[tx[y]]
-                ty = table[y]
-                for z in range(n):
-                    if txy[z] != tx[ty[z]]:
-                        raise SpecError(
-                            "table",
-                            f"associativity fails at triple ({x}, {y}, {z})",
-                        )
-
     if generators is None:
         generators = [x for x in range(n) if x != identity]
     for g in generators:
@@ -377,23 +352,64 @@ def from_table(table: list[list[int]], identity: int = 0,
     if names is not None and len(names) != len(generators):
         raise SpecError("names", "one name per generator required")
 
-    # BFS for words / reachability; element ids stay the table's row indices
-    gen_step = [[table[x][g] for g in generators] for x in range(n)]
-    reached, parent, parent_gen = _id_tree(identity, gen_step)
-    if len(reached) != n:
+    # element ids stay the table's row indices
+    m = Monoid(
+        identity=identity,
+        generators=generators,
+        gen_names=names or [f"g{i}" for i in range(len(generators))],
+        gen_step=[[table[x][g] for g in generators] for x in range(n)],
+    )
+    if m.size != n:
         raise SpecError(
             "generators",
-            f"generators only reach {len(reached)} of {n} elements",
+            f"generators only reach {m.size} of {n} elements",
         )
+    _light_test(table, identity, generators)
+    return m
 
-    return Monoid(
-        size=n,
-        identity=identity,
-        generators=list(generators),
-        gen_names=names or [f"g{i}" for i in range(len(generators))],
-        gen_step=gen_step,
-        parent=parent,
-        parent_gen=parent_gen,
-        table=[list(r) for r in table],
-        associativity_verified=verified,
-    )
+
+def _light_test(table: list[list[int]], identity: int,
+                generators: list[int]) -> None:
+    """Raise SpecError unless the table, which has an identity and is
+    generated by `generators`, is associative.
+
+    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
+    I, 1961, section 1.2) checks (x*y)*g = x*(y*g) for all x, y and each g
+    in G': the generators in order, skipping any already reached from the
+    identity by those kept before it. If it passes, then by induction on
+    z's word over G', (x*y)*z = x*(y*z) for each z in the set R that G'
+    reaches. R is closed under products, as r*(s*g) = (r*s)*g, and holds
+    every skipped generator, so R is everything the generators reach: the
+    whole table. A failing (x, y, g) is itself a triple where associativity
+    fails. Costs n^2*|G'|, after O(n*|G|) to find G'.
+    """
+    n = len(table)
+    seen = [False] * n
+    seen[identity] = True
+    reached = [identity]
+    kept: list[int] = []
+    for g in generators:
+        if seen[g]:
+            continue
+        kept.append(g)
+        # close under the kept generators: the new one on every element
+        # reached so far, all of them on each element reached from now on
+        old = len(reached)
+        for i, x in enumerate(reached):
+            tx = table[x]
+            for h in (kept if i >= old else (g,)):
+                y = tx[h]
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+
+    right = [[r[g] for r in table] for g in kept]      # y -> y*g
+    times = [itemgetter(*rg) for rg in right]          # t -> [t[y*g] for y]
+    for x, tx in enumerate(table):
+        x_times = itemgetter(*tx)                      # t -> [t[x*y] for y]
+        for g, rg, t in zip(kept, right, times):
+            if x_times(rg) != t(tx):
+                y = next(y for y in range(n) if rg[tx[y]] != tx[rg[y]])
+                raise SpecError(
+                    "table", f"associativity fails at triple ({x}, {y}, {g})"
+                )

@@ -102,3 +102,15 @@ def random_transformation_monoids(count: int, seed: int, decreasing: bool,
         except CapExceeded:
             continue
     return out
+
+
+def permuted_table(m, seed):
+    """m's table with ids relabelled at random, the identity not at 0."""
+    n, t = m.size, m.table()
+    perm = random.Random(seed).sample(range(n), n)
+    assert perm[m.identity] != 0
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[perm[x]][perm[y]] = perm[t[x][y]]
+    return table, perm[m.identity], [perm[g] for g in m.generators]

@@ -9,7 +9,8 @@ path with the production package, so agreement is meaningful evidence.
 The order-level structure (upsets, the non-antisymmetry witness, chain
 length, J-triviality, the left ideals S*e) is also defined here straight
 from the multiplication table, as the reference for the Cayley-graph
-component routine.
+component routine. The cubic associativity scan is the reference for
+`from_table`'s Light's test.
 
 The two reference builders at the end construct the built-in families the
 long way, through the generic `close` and `from_table`: 0-Hecke as n-1
@@ -158,6 +159,21 @@ def longest_chain(up):
 def left_ideal(table, x):
     """S*x."""
     return frozenset(row[x] for row in table)
+
+
+def associativity_failure(table):
+    """The first triple (x, y, z) in lexicographic order with
+    (x*y)*z != x*(y*z), or None if the table is associative: all n^3."""
+    n = len(table)
+    for x in range(n):
+        tx = table[x]
+        for y in range(n):
+            txy = table[tx[y]]
+            ty = table[y]
+            for z in range(n):
+                if txy[z] != tx[ty[z]]:
+                    return (x, y, z)
+    return None
 
 
 def is_j_trivial(table):

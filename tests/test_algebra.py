@@ -9,7 +9,7 @@ from rmonoid import (StabilizationError, Transformation, basis,
                      from_table, one, power_until_stable, zero)
 from rmonoid.algebra import RightFactor, left_translates, mul_translates
 
-from conftest import hecke_elt, random_transformation_monoids
+from conftest import hecke_elt, permuted_table, random_transformation_monoids
 from oracle import vec_mul
 
 
@@ -166,11 +166,12 @@ def test_support_and_terms_sorted(hecke4):
 
 
 def _kernel_inputs():
-    """(monoid, its full table, whether it was built by closure) triples.
+    """(monoid, its full table, whether its rows are unbuilt) triples.
 
-    A closure-built monoid comes fresh, with its table taken from an
-    independent copy, so products walk its left Cayley tree; the
-    `from_table` monoid has every row built and reads products off them.
+    A fresh monoid gets its table from an independent copy, so products
+    walk its left Cayley tree and read only the generator rows. The
+    permuted-id `from_table` monoid comes twice: fresh like the others,
+    then with every row built, so products read x*b off the rows.
     """
     builders = [lambda n=n: build_hecke_a(n) for n in range(2, 6)]
     builders += [lambda k=k: build_free_lrb(k) for k in range(1, 5)]
@@ -184,16 +185,12 @@ def _kernel_inputs():
         yield build(), build().table(), True
     # a table whose identity is not id 0, with explicit generators
     m = close([Transformation((0, 0, 2, 1)), Transformation((1, 1, 1, 3))])
-    n, t = m.size, m.table()
-    perm = random.Random(7).sample(range(n), n)
-    assert perm[m.identity] != 0
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            table[perm[x]][perm[y]] = perm[t[x][y]]
-    tm = from_table(table, identity=perm[m.identity],
-                    generators=[perm[g] for g in m.generators])
-    yield tm, table, False
+    table, identity, gens = permuted_table(m, 7)
+    for fresh in (True, False):
+        tm = from_table(table, identity=identity, generators=gens)
+        if not fresh:
+            tm.table()
+        yield tm, table, fresh
 
 
 def _dense(m, a):
@@ -202,7 +199,7 @@ def _dense(m, a):
 
 def test_product_kernel_matches_dense_oracle():
     rng = random.Random(8081)
-    for m, table, closed in _kernel_inputs():
+    for m, table, fresh in _kernel_inputs():
         n = m.size
         idem_gens = [basis(m, m.idempotent_power(g)) for g in m.generators]
         for trial in range(6):
@@ -230,7 +227,7 @@ def test_product_kernel_matches_dense_oracle():
                 want = {z: c for z, c in enumerate(xb) if c}
                 assert rf.translate(x) == want
                 assert translates[x] == want
-        if closed:
+        if fresh:
             # products read the generator rows, never another row
             built = {x for x in range(n) if m._cached_row(x) is not None}
             assert built <= set(m.generators)

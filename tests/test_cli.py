@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from rmonoid import build_free_lrb
 from rmonoid.cli import main
 
 LRB2 = '{"kind":"free_lrb","k":2,"names":["a","b"]}'
@@ -178,6 +179,32 @@ def test_duplicate_generator_names_exit_3(capsys):
     spec = '{"kind":"free_lrb","k":2,"names":["a","a"]}'
     assert main(["idempotents", spec]) == 3
     assert "input error: names:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind":"table","table":[[0,1],[1,0]],"names":[]}',
+    '{"kind":"free_lrb","k":2,"names":[]}',
+    '{"kind":"hecke_a","n":3,"names":[]}',
+    '{"kind":"transformations","degree":2,"generators":[[0,0]],"names":[]}',
+], ids=["table", "free_lrb", "hecke_a", "transformations"])
+def test_empty_names_exit_3(capsys, spec):
+    # an empty list is a list of names, one short per generator
+    assert main(["analyze", spec]) == 3
+    assert capsys.readouterr().err == (
+        "input error: names: one name per generator required\n")
+
+
+def test_non_associative_table_over_256_elements_exit_3(capsys):
+    # the free LRB on 5 letters has 326 elements; setting ab to ba breaks
+    # associativity, which is checked at every size
+    table = build_free_lrb(5).table()
+    table[1][2] = table[2][1]
+    assert main(["analyze", json.dumps({"kind": "table", "table": table})]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: table: associativity fails at triple (")
+    assert err.count("\n") == 1
+    x, y, z = map(int, err[err.index("(") + 1:err.index(")")].split(", "))
+    assert table[table[x][y]][z] != table[x][table[y][z]]
 
 
 def test_spec_path_is_directory_exit_3(tmp_path, capsys):

@@ -1,11 +1,16 @@
 import itertools
+import random
+import re
 
 import pytest
 
-from rmonoid import (CapExceeded, SpecError, Transformation, close, compose,
+from rmonoid import (CapExceeded, Monoid, SpecError, Transformation,
+                     build_free_lrb, build_hecke_a, close, compose,
                      from_table)
 
-from conftest import hecke_elt
+from conftest import (hecke_elt, permuted_table, random_r_trivial_monoids,
+                      random_transformation_monoids)
+from oracle import associativity_failure
 
 
 def test_compose_examples():
@@ -176,12 +181,105 @@ def test_close_with_duplicate_and_identity_generators():
     assert m.word(1) == (1,)       # first non-identity generator position
 
 
-def test_from_table_skips_assoc_check_above_bound(lrb2):
-    m = from_table(lrb2.table(), generators=list(lrb2.generators),
-                   assoc_check_bound=3)
-    assert m.associativity_verified is False
-    m2 = from_table(lrb2.table(), generators=list(lrb2.generators))
-    assert m2.associativity_verified is True
+def test_monoid_is_its_generator_steps():
+    # size and words come from the BFS tree of the generator steps
+    m = Monoid(identity=2, generators=[0, 1], gen_names=["a", "b"],
+               gen_step=[[0, 0], [0, 1], [0, 1]])
+    assert m.size == 3
+    assert [m.word(x) for x in range(3)] == [(0,), (1,), ()]
+    assert m.table() == [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
+
+
+def test_from_table_rows_follow_bfs_order():
+    # from_table keeps no row; each is rebuilt along the BFS tree, whose
+    # order is not the id order once ids are permuted
+    m = close([Transformation((0, 0, 2, 1)), Transformation((1, 1, 1, 3))])
+    table, identity, gens = permuted_table(m, 7)
+    tm = from_table(table, identity=identity, generators=gens)
+    assert all(tm._cached_row(x) is None for x in range(tm.size))
+    assert [tm.row(x) for x in range(tm.size)] == table
+
+
+TRIPLE = re.compile(r"associativity fails at triple \((\d+), (\d+), (\d+)\)")
+
+
+def _light_verdict(table, identity, generators):
+    """Whether from_table accepts the table, or None when the generators
+    do not reach every element. A rejection must name a triple that
+    really fails."""
+    try:
+        from_table(table, identity=identity, generators=generators)
+    except SpecError as err:
+        if err.field == "generators":
+            return None
+        assert err.field == "table", err
+        x, y, z = map(int, TRIPLE.fullmatch(err.reason).groups())
+        assert table[table[x][y]][z] != table[x][table[y][z]]
+        return False
+    return True
+
+
+def _monoid_tables():
+    """(table, identity, generators) for the monoid tables the tests
+    build, all of at most 256 elements."""
+    monoids = [close([Transformation((0, 2, 2)), Transformation((1, 1, 2))]),
+               close([Transformation((0, 0, 2, 1)),
+                      Transformation((1, 1, 1, 3))])]
+    monoids += [build_hecke_a(n) for n in range(2, 6)]
+    monoids += [build_free_lrb(k) for k in range(1, 5)]
+    monoids += random_r_trivial_monoids(6, 3)
+    for decreasing in (True, False):
+        monoids += random_transformation_monoids(6, 4, decreasing)
+    for m in monoids:
+        yield m.table(), m.identity, list(m.generators)
+    yield permuted_table(monoids[1], 7)
+    maps = list(itertools.product(range(3), repeat=3))
+    index = {f: i for i, f in enumerate(maps)}
+    yield ([[index[compose(Transformation(f), Transformation(g)).images]
+             for g in maps] for f in maps], index[(0, 1, 2)], None)
+    yield [[0, 1], [1, 0]], 0, [1]
+    yield [[0, 0], [0, 1]], 1, [0]
+    yield [[0]], 0, []
+
+
+def test_light_test_agrees_with_cubic_check():
+    # Light's test over the generators against all n^3 triples: on the
+    # test monoids, on each with entries corrupted, and on random tables
+    # with an identity, with the default and with the given generators
+    rng = random.Random(2010)
+    cases = []
+    for table, identity, gens in _monoid_tables():
+        cases.append((table, identity, gens))
+        n = len(table)
+        others = [x for x in range(n) if x != identity]
+        for _ in range(4 if others else 0):
+            bad = [list(r) for r in table]
+            for _ in range(rng.randint(1, 2)):
+                x, y = rng.choice(others), rng.choice(others)
+                bad[x][y] = rng.randrange(n)
+            cases.append((bad, identity, gens))
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        table = [[y if x == 0 else x if y == 0 else rng.randrange(n)
+                  for y in range(n)] for x in range(n)]
+        gens = rng.sample(range(1, n), rng.randint(1, n - 1))
+        cases.append((table, 0, gens))
+    tally = {True: 0, False: 0}
+    for table, identity, gens in cases:
+        want = associativity_failure(table) is None
+        tally[want] += 1
+        assert _light_verdict(table, identity, None) == want, table
+        assert _light_verdict(table, identity, gens) in (want, None), table
+    # both verdicts occur often enough for the agreement to mean something
+    assert min(tally.values()) >= 100, tally
+
+
+def test_light_test_rejects_generators_that_skip_a_needed_one():
+    # 1 reaches 2, so Light's test uses 1 alone; 1 reaches only {0, 1, 2},
+    # and the test must still fail, since 3 = 1*2 is reached through 2
+    table = [[0, 1, 2, 3], [1, 2, 3, 3], [2, 2, 3, 3], [3, 3, 3, 3]]
+    assert associativity_failure(table) is not None
+    assert _light_verdict(table, 0, [1, 2]) is False
 
 
 def test_rebuild_from_own_table_is_isomorphic(matrix_monoid, lrb2, hecke3):

@@ -4,8 +4,8 @@ from collections import Counter
 import pytest
 
 from rmonoid import (basis, build_hecke_a, build_semilattice, e_system,
-                     from_coeffs, is_j_trivial, node_data, one, verify_system,
-                     weak_preorder)
+                     from_coeffs, from_table, is_j_trivial, node_data, one,
+                     verify_system, weak_preorder)
 from rmonoid.algebra import left_translates
 from rmonoid.output import system_payload, to_json
 from rmonoid.verify import _p_closed_form
@@ -537,6 +537,18 @@ def test_hecke6_idempotents_read_only_generator_rows():
     sys = e_system(lat, "auto")
     assert verify_system(lat, sys).passed
     forced = [x for x in range(m.size) if m._rows[x] is not None]
+    assert forced == sorted(m.generators)
+
+
+def test_table_idempotents_read_only_generator_rows():
+    # a from_table monoid keeps only its generator columns, so it reads
+    # rows as a closure-built one does
+    h = build_hecke_a(5)
+    m = from_table(h.table(), generators=h.generators)
+    lat = build_semilattice(m, weak_preorder(m))
+    sys = e_system(lat, "auto")
+    assert verify_system(lat, sys).passed
+    forced = [x for x in range(m.size) if m._cached_row(x) is not None]
     assert forced == sorted(m.generators)
 
 
