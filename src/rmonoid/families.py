@@ -19,8 +19,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ConsistencyError, SpecError
-from .monoid import (DEFAULT_CAP, Monoid, Transformation, _closure, close,
-                     from_table)
+from .monoid import (DEFAULT_CAP, Monoid, Transformation, _closure,
+                     _plain_ids, close, from_table)
 
 __all__ = [
     "MonoidSpec", "parse_spec", "load",
@@ -162,9 +162,8 @@ def parse_spec(text: str | dict) -> MonoidSpec:
         nrows = len(table)
         rows = []
         for i, r in enumerate(table):
-            if (not isinstance(r, list) or len(r) != nrows
-                    or not all(isinstance(x, int) and not isinstance(x, bool)
-                               and 0 <= x < nrows for x in r)):
+            if not isinstance(r, list) or len(r) != nrows \
+                    or not _plain_ids(r, nrows):
                 raise SpecError("table", f"row {i} must be {nrows} ids in "
                                          f"[0, {nrows})")
             rows.append(tuple(r))
@@ -175,9 +174,7 @@ def parse_spec(text: str | dict) -> MonoidSpec:
         gen_ids = None
         if "generators" in d:
             raw = d["generators"]
-            if not isinstance(raw, list) or not all(
-                    isinstance(x, int) and not isinstance(x, bool)
-                    and 0 <= x < nrows for x in raw):
+            if not isinstance(raw, list) or not _plain_ids(raw, nrows):
                 raise SpecError("generators", f"must be ids in [0, {nrows})")
             gen_ids = tuple(raw)
         return MonoidSpec(kind=kind, table=tuple(rows), identity=identity,
@@ -201,7 +198,7 @@ def load(spec: MonoidSpec) -> Monoid:
         if len(spec.table) > spec.cap:
             raise CapExceeded(spec.cap, len(spec.table))
         return from_table(
-            [list(r) for r in spec.table], identity=spec.identity,
+            spec.table, identity=spec.identity,
             generators=list(spec.generators) if spec.generators is not None else None,
             names=names,
         )

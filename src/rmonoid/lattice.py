@@ -4,9 +4,21 @@ The upper semilattice of idempotent-generated left ideals.
 Nodes are the distinct ideals S*e over idempotents e, ordered by reverse
 inclusion, with the join S*(ef)^omega, the content map C(x) = S*x^omega and
 the descent map D(u) = C(e) for a maximal element e of {s : u*s = u}.
-Construction reads only the k generator rows: S*e is reachability in the
-left Cayley graph and products are word walks. The `verify` suite checks
-that C(x) also equals {a : a*x = a}.
+
+In an R-trivial monoid u*v = u iff u*g = u for every letter g of v, since
+u <= u*g1 <= ... <= u*v. So everything here comes from the generator
+steps, with no row and no per-element set:
+  - e*g^omega = e iff e*g = e, so C(g) preceq C(e) iff e*g = e. The label
+    of an idempotent, the set of generators that fix it, determines its
+    node, and J preceq K is inclusion of labels;
+  - C is a morphism, so C(x*g) = C(x) v C(g) along the BFS tree of the
+    right Cayley graph, and the nodes are the joins of C(1) and the
+    C(g^omega);
+  - D(u) is the join of C(g) over the generators g with u*g = u, and
+    |S*e| = #{a : C(e) preceq D(a)}.
+The `verify` suite checks these against the definitions: S*e by search in
+the left Cayley graph, {a : a*x = a} off the rows, and D(u) as the
+content of a maximal element of the stabilizer.
 
 Construction refuses monoids that are not R-trivial: every theorem the
 downstream idempotent machinery relies on assumes the preorder is a
@@ -15,11 +27,12 @@ partial order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, NotRTrivial
 from .monoid import Monoid
-from .order import OrderRelation, _reach, iter_bits, weak_preorder
+from .order import OrderRelation, iter_bits, weak_preorder
 from .reporting import Report
 
 __all__ = [
@@ -31,8 +44,8 @@ __all__ = [
 @dataclass(frozen=True)
 class LatticeNode:
     node_id: int
-    ideal: tuple[int, ...]     # sorted element ids of S*e
-    witness: int               # an idempotent e with S*e == ideal
+    ideal_size: int            # |S*e|
+    witness: int               # the first idempotent e, by id, of this node
 
 
 class Semilattice:
@@ -48,7 +61,6 @@ class Semilattice:
         self._join = join
         self._content = content        # node id per monoid element
         self.bottom = bottom
-        self._descent: dict[int, int] = {}
 
     @property
     def n_nodes(self) -> int:
@@ -71,37 +83,14 @@ class Semilattice:
         return self._content[x]
 
     def descent(self, u: int) -> int:
-        """Node id of D(u).
-
-        Finds the maximal elements of the stabilizer {s : u*s = u}, checks
-        they all share one content (the construction guarantees it), picks
-        the smallest-id one, and returns its content node.
-        """
-        cached = self._descent.get(u)
-        if cached is not None:
-            return cached
-        m, up = self.monoid, self.order.up
-        row_u = m.row(u)
-        stab = 0
-        for s in range(m.size):
-            if row_u[s] == u:
-                stab |= 1 << s
-        maximal = [s for s in iter_bits(stab) if up[s] & stab == 1 << s]
-        if not maximal:
-            raise ConsistencyError(f"stabilizer of element {u} has no maximal element")
-        node_ids = {self._content[s] for s in maximal}
-        if len(node_ids) != 1:
-            raise ConsistencyError(
-                f"descent of element {u} ill-defined: maximal stabilizer "
-                f"elements have contents {sorted(node_ids)}"
-            )
-        e = maximal[0]
-        if m.mult(e, e) != e:
-            raise ConsistencyError(
-                f"maximal stabilizer element {e} of {u} is not idempotent"
-            )
-        node = self._content[e]
-        self._descent[u] = node
+        """Node id of D(u): the join of C(g) over the generators g with
+        u*g = u. `verify_weak_order_axioms` checks it against a maximal
+        element of the stabilizer."""
+        m, join, content = self.monoid, self._join, self._content
+        node = self.bottom
+        for g, ug in zip(m.generators, m._gen_step[u]):
+            if ug == u:
+                node = join[node][content[g]]
         return node
 
     def generator_label(self, a: int) -> tuple[int, ...]:
@@ -118,70 +107,87 @@ class Semilattice:
         )
 
 
-def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilattice:
-    """Enumerate idempotent left ideals and assemble the semilattice.
+def _fixed(step: list[int], x: int) -> int:
+    """Bit i set when x*g_i = x, given x's generator steps."""
+    mask = 0
+    for i, y in enumerate(step):
+        if y == x:
+            mask |= 1 << i
+    return mask
 
-    Joins computed as S*(ef)^omega are cross-checked against the poset
-    least upper bound. No row beyond the k generator rows is materialized.
+
+def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilattice:
+    """Find the nodes, content, joins and ideal sizes from the generator
+    steps: O(n*k) steps, plus word walks, k per node to find the nodes and
+    one per pair of nodes for the join table.
+
+    Node ids follow the first idempotent of each content in id order, and
+    that idempotent is the node's witness. Joins computed as
+    C(ef) = S*(ef)^omega are cross-checked against the least upper bound
+    of the label order. No row of the multiplication table is built.
     """
     order = order if order is not None else weak_preorder(m)
     if not order.is_partial_order:
         raise NotRTrivial(order.witness)
     n = m.size
+    fixed = list(map(_fixed, m._gen_step, range(n)))
 
-    # S*e is what e reaches in the left Cayley graph
-    left_ideal = _reach(m._left_graph())[1]
-    nodes: list[LatticeNode] = []
-    ideal_masks: list[int] = []
-    mask_to_node: dict[int, int] = {}
-    node_of_idem: dict[int, int] = {}
-    for e in range(n):
-        if m.mult(e, e) != e:
-            continue
-        mask = left_ideal[e]
-        if mask not in mask_to_node:
-            node_id = len(nodes)
-            mask_to_node[mask] = node_id
-            nodes.append(LatticeNode(
-                node_id=node_id,
-                ideal=tuple(iter_bits(mask)),
-                witness=e,
-            ))
-            ideal_masks.append(mask)
-        node_of_idem[e] = mask_to_node[mask]
+    # the nodes as labels, each reached from C(1) by joining generator
+    # contents; gen_join[label][l] is the label of that node joined with
+    # C(g), for any generator g whose content has label l
+    gen_idem = [m.idempotent_power(g) for g in m.generators]
+    gen_label = [fixed[go] for go in gen_idem]
+    gen_rep = dict(zip(gen_label, gen_idem))
+    idem_of = {fixed[m.identity]: m.identity}
+    labels = [fixed[m.identity]]
+    gen_join: dict[int, dict[int, int]] = {}
+    for label in labels:
+        joins = gen_join[label] = {}
+        for gl, go in gen_rep.items():
+            w = m.idempotent_power(m.mult(idem_of[label], go))
+            j = joins[gl] = fixed[w]
+            if j not in idem_of:
+                idem_of[j] = w
+                labels.append(j)
 
-    k = len(nodes)
-    full_mask = (1 << n) - 1
-    bottom = mask_to_node.get(full_mask)
-    if bottom is None:
-        raise ConsistencyError("no node for the whole monoid S*1")
-
-    # reverse inclusion: a preceq b iff ideal(a) contains ideal(b)
-    preceq_masks = [0] * k
-    for a in range(k):
-        pa = 0
-        for b in range(k):
-            if ideal_masks[a] | ideal_masks[b] == ideal_masks[a]:
-                pa |= 1 << b
-        preceq_masks[a] = pa
-
-    # content: the node of S*x^omega
+    # content along the BFS tree: C(x) = C(parent) v C(g)
     content = [0] * n
+    content[m.identity] = labels[0]
+    parent, pgen = m._parent, m._parent_gen
+    for x in m._order[1:]:
+        content[x] = gen_join[content[parent[x]]][gen_label[pgen[x]]]
+
+    # ids and witnesses: the first idempotent of each content, by id; x is
+    # idempotent iff x*g = x for every letter g of x, and the letters of x
+    # lie below C(x), so iff its label lies in fixed[x]
+    node_of: dict[int, int] = {}
+    witnesses: list[int] = []
     for x in range(n):
-        xo = m.idempotent_power(x)
-        node = node_of_idem.get(xo)
-        if node is None:
-            raise ConsistencyError(
-                f"ideal of idempotent power {xo} is not a lattice node"
-            )
-        content[x] = node
+        label = content[x]
+        if label not in node_of and label & ~fixed[x] == 0:
+            node_of[label] = len(witnesses)
+            witnesses.append(x)
+            if len(witnesses) == len(labels):
+                break
+    if len(witnesses) != len(labels):
+        raise ConsistencyError("a join of generator contents has no "
+                               "idempotent of that content")
+    k = len(labels)
+    label_of = list(node_of)            # labels in node id order
+    content = [node_of[c] for c in content]
+
+    # reverse inclusion of ideals is inclusion of labels
+    preceq_masks = [0] * k
+    for a, la in enumerate(label_of):
+        preceq_masks[a] = sum(1 << b for b, lb in enumerate(label_of)
+                              if la & lb == la)
 
     # join via S*(ef)^omega, cross-checked against the least upper bound
     join = [[0] * k for _ in range(k)]
     for a in range(k):
-        ea = nodes[a].witness
+        ea = witnesses[a]
         for b in range(k):
-            j = content[m.mult(ea, nodes[b].witness)]
+            j = content[m.mult(ea, witnesses[b])]
             ub = preceq_masks[a] & preceq_masks[b]
             if not (ub >> j) & 1 or preceq_masks[j] & ub != ub:
                 raise ConsistencyError(
@@ -190,10 +196,50 @@ def build_semilattice(m: Monoid, order: OrderRelation | None = None) -> Semilatt
                 )
             join[a][b] = j
 
+    # |S*e| = #{a : C(e) preceq D(a)}, D(a) the join of C(g) over the
+    # generators that fix a
+    gen_content = [content[g] for g in m.generators]
+    at_descent = Counter()
+    for mask, count in Counter(fixed).items():
+        d = content[m.identity]
+        for i in iter_bits(mask):
+            d = join[d][gen_content[i]]
+        at_descent[d] += count
+    nodes = [
+        LatticeNode(node_id=a, witness=witnesses[a], ideal_size=sum(
+            at_descent[d] for d in iter_bits(preceq_masks[a])))
+        for a in range(k)
+    ]
     return Semilattice(
         monoid=m, order=order, nodes=nodes, preceq_masks=preceq_masks,
-        join=join, content=content, bottom=bottom,
+        join=join, content=content, bottom=content[m.identity],
     )
+
+
+def _stabilizer_descent(lat: Semilattice, u: int, row_u: list[int]) -> int:
+    """D(u) by its definition: the content of a maximal element of the
+    stabilizer {s : u*s = u}. Raises ConsistencyError when the maximal
+    elements disagree in content or the one taken is not idempotent."""
+    m, up, content = lat.monoid, lat.order.up, lat._content
+    stab = 0
+    for s, us in enumerate(row_u):
+        if us == u:
+            stab |= 1 << s
+    maximal = [s for s in iter_bits(stab) if up[s] & stab == 1 << s]
+    if not maximal:
+        raise ConsistencyError(f"stabilizer of element {u} has no maximal element")
+    node_ids = {content[s] for s in maximal}
+    if len(node_ids) != 1:
+        raise ConsistencyError(
+            f"descent of element {u} ill-defined: maximal stabilizer "
+            f"elements have contents {sorted(node_ids)}"
+        )
+    e = maximal[0]
+    if m.mult(e, e) != e:
+        raise ConsistencyError(
+            f"maximal stabilizer element {e} of {u} is not idempotent"
+        )
+    return content[e]
 
 
 def verify_weak_order_axioms(lat: Semilattice) -> Report:
@@ -205,8 +251,9 @@ def verify_weak_order_axioms(lat: Semilattice) -> Report:
       3. uv <= u implies C(v) preceq D(u)
       4. C(v) preceq D(u) implies uv = u
     plus x <= y implies C(x) preceq C(y). Failures land in the report with
-    the first counterexample, except that `descent` raises ConsistencyError
-    when D(u) is ill-defined.
+    the first counterexample. D(u) from the generator steps must equal the
+    content of a maximal element of u's stabilizer; ConsistencyError is
+    raised when it does not, or when that definition is ill-defined.
     """
     m, order = lat.monoid, lat.order
     n = m.size
@@ -233,7 +280,12 @@ def verify_weak_order_axioms(lat: Semilattice) -> Report:
     bad3 = bad4 = None
     for u in range(n):
         row_u = m.row(u)
-        du = lat.descent(u)
+        du, by_stabilizer = lat.descent(u), _stabilizer_descent(lat, u, row_u)
+        if by_stabilizer != du:
+            raise ConsistencyError(
+                f"descent of element {u}: generator steps give node {du}, "
+                f"a maximal stabilizer element node {by_stabilizer}"
+            )
         for v in range(n):
             if bad3 is None and order.leq(row_u[v], u) \
                     and not lat.preceq(content[v], du):

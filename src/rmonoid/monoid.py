@@ -319,6 +319,13 @@ def close(generators: list[Transformation], cap: int = DEFAULT_CAP,
     return _closure(tuple(range(degree)), len(generators), step, cap, names)
 
 
+def _plain_ids(values, bound: int) -> bool:
+    """True when every value has type int (not bool) and lies in
+    [0, bound), checked at C speed."""
+    return set(map(type, values)) <= {int} and (
+        not values or (min(values) >= 0 and max(values) < bound))
+
+
 def from_table(table: list[list[int]], identity: int = 0,
                generators: list[int] | None = None,
                names: list[str] | None = None) -> Monoid:
@@ -335,6 +342,8 @@ def from_table(table: list[list[int]], identity: int = 0,
     for i, r in enumerate(table):
         if len(r) != n:
             raise SpecError("table", f"row {i} has length {len(r)}, expected {n}")
+        if _plain_ids(r, n):
+            continue
         for j, v in enumerate(r):
             if not isinstance(v, int) or not (0 <= v < n):
                 raise SpecError("table", f"entry [{i}][{j}] = {v!r} outside [0, {n})")

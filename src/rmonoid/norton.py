@@ -160,7 +160,7 @@ def e_system(lat: Semilattice, mode: str = "auto") -> IdempotentSystem:
     """
     mode = _resolve_mode(lat, mode)
     m = lat.monoid
-    order = sorted(lat.nodes, key=lambda nd: (len(nd.ideal), nd.node_id))
+    order = sorted(lat.nodes, key=lambda nd: (nd.ideal_size, nd.node_id))
     data: list[NortonData | None] = [None] * lat.n_nodes
     for nd in order:
         J = nd.node_id

@@ -3,14 +3,18 @@ The weak preorder u <= v (some w has uw = v), R- and J-triviality.
 
 u <= v is reachability in the right Cayley graph x -> x*g, and S*x is what
 x reaches in the left one, x -> g*x. One Tarjan pass finds a graph's
-strongly connected components and reachability bitmasks (bit y of `up[x]`
-set when x <= y) in O(n*k) steps plus the mask ORs.
+strongly connected components and heights in O(n*k) steps, with no per
+element set: that settles R-triviality (and its witness), the chain length
+and J-triviality. The reachability bitmasks `up` (bit y of `up[x]` set
+when x <= y), n^2/8 bytes in all, are built from the right graph and its
+components only when first read, which only verification does.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .monoid import Monoid
 
@@ -34,29 +38,36 @@ class OrderRelation:
 
     `chain_length` is the number of elements in a longest strictly
     increasing chain; it is None when the preorder is not a partial order
-    (all stabilization bounds downstream assume R-triviality).
+    (all stabilization bounds downstream assume R-triviality). `up` holds
+    the reflexive bitmask upsets; it is built on first read from `graph`,
+    the right Cayley graph x -> [x*g_i], and its components `comp`.
     """
 
     size: int
-    up: list[int]                      # bitmask upsets, reflexive
     is_partial_order: bool
     witness: tuple[int, int] | None    # x != y with x <= y <= x, if any
     chain_length: int | None
+    graph: list[list[int]] = field(repr=False, compare=False)
+    comp: list[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def up(self) -> list[int]:
+        return _upsets(self.graph, self.comp)
 
     def leq(self, x: int, y: int) -> bool:
         return (self.up[x] >> y) & 1 == 1
 
 
-def _reach(succ: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
-    """Component, reachability bitmask and height per vertex of x -> succ[x].
+def _reach(succ: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Component and height per vertex of the graph x -> succ[x].
 
     The height is the number of components on a longest path from the
-    vertex. Iterative Tarjan emits sink components first, so the masks and
-    heights of a component's successors are final when it is emitted.
+    vertex. Iterative Tarjan numbers components in the order it emits
+    them, sinks first, so the heights of a component's successors are
+    final when it is emitted.
     """
     n = len(succ)
     index, low, comp = [-1] * n, [0] * n, [-1] * n    # comp -1: on the stack
-    masks: list[int] = []
     heights: list[int] = []
     stack: list[int] = []
     counter = 0
@@ -82,28 +93,42 @@ def _reach(succ: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
                     low[work[-1][0]] = low[v]
                 if low[v] != index[v]:
                     continue
-                c = len(masks)
+                c = len(heights)
                 members = stack[at:]
                 del stack[at:]
-                mask = height = 0
                 for w in members:
                     comp[w] = c
-                    mask |= 1 << w
+                height = 0
                 for w in members:
                     for x in succ[w]:
                         if comp[x] != c:
-                            mask |= masks[comp[x]]
                             height = max(height, heights[comp[x]])
-                masks.append(mask)
                 heights.append(height + 1)
-    return comp, [masks[c] for c in comp], [heights[c] for c in comp]
+    return comp, [heights[c] for c in comp]
+
+
+def _upsets(succ: list[list[int]], comp: list[int]) -> list[int]:
+    """Reachability bitmask per vertex of x -> succ[x], reflexive, given
+    the components `_reach` found.
+
+    `_reach` numbers components sinks first, so visiting vertices by
+    component finds every other component's mask final before it is read.
+    """
+    masks = [0] * (max(comp) + 1)
+    for v in sorted(range(len(succ)), key=comp.__getitem__):
+        c = comp[v]
+        mask = masks[c] | 1 << v
+        for w in succ[v]:
+            if comp[w] != c:
+                mask |= masks[comp[w]]
+        masks[c] = mask
+    return [masks[c] for c in comp]
 
 
 def weak_preorder(m: Monoid) -> OrderRelation:
     """Compute u <= v as reachability in the right Cayley graph."""
-    n, k = m.size, len(m.generators)
-    comp, up, height = _reach(
-        [[m.gen_step(x, gi) for gi in range(k)] for x in range(n)])
+    n = m.size
+    comp, height = _reach(m._gen_step)
     sizes = Counter(comp)
     cyclic = [x for x in range(n) if sizes[comp[x]] > 1]
     witness = None
@@ -112,8 +137,9 @@ def weak_preorder(m: Monoid) -> OrderRelation:
         x = cyclic[0]
         witness = (x, next(y for y in cyclic if y > x and comp[y] == comp[x]))
     return OrderRelation(
-        size=n, up=up, is_partial_order=witness is None, witness=witness,
+        size=n, is_partial_order=witness is None, witness=witness,
         chain_length=max(height) if witness is None else None,
+        graph=m._gen_step, comp=comp,
     )
 
 

@@ -57,7 +57,7 @@ def lattice_payload(lat: Semilattice) -> list[dict]:
         {
             "node_id": nd.node_id,
             "label": node_label(lat, nd.node_id),
-            "ideal_size": len(nd.ideal),
+            "ideal_size": nd.ideal_size,
             "witness_word": element_word(lat.monoid, nd.witness),
         }
         for nd in lat.nodes

@@ -16,7 +16,7 @@ import random
 from .algebra import AlgebraElement, RightFactor, basis, one
 from .errors import NotRTrivial
 from .lattice import build_semilattice, verify_weak_order_axioms
-from .monoid import Monoid
+from .monoid import Monoid, _id_tree
 from .norton import e_system, verify_system
 from .order import (check_left_absorption, is_j_trivial, iter_bits,
                     weak_preorder)
@@ -114,18 +114,26 @@ def run_full_suite(m: Monoid) -> Report:
     report.add("omega_absorbs_base", ok, "x^omega * x != x^omega")
 
     lat = build_semilattice(m, order)
-    # C(x) = S*x^omega comes from the left Cayley graph; the fixed points
-    # {a : a*x = a} are read off the rows, independently
+    # the build finds C(x) and |S*e| from generator labels; here S*e is a
+    # search of the left Cayley graph from each witness e, and the fixed
+    # points {a : a*x = a} are read off the rows, independently of both
     fixed = [0] * n
     for a in range(n):
         for x, ax in enumerate(m.row(a)):
             if ax == a:
                 fixed[x] |= 1 << a
-    ideal = [sum(1 << a for a in nd.ideal) for nd in lat.nodes]
+    left = m._left_graph()
+    ideal = [sum(1 << a for a in _id_tree(nd.witness, left)[0])
+             for nd in lat.nodes]
     bad = next((x for x in range(n) if fixed[x] != ideal[lat.content(x)]),
                None)
-    report.add("content_characterizations_agree", bad is None,
-               f"{{a : a*x = a}} != S*x^omega at element {bad}")
+    bad_size = next((nd.node_id for nd in lat.nodes
+                     if ideal[nd.node_id].bit_count() != nd.ideal_size), None)
+    report.add("content_characterizations_agree",
+               bad is None and bad_size is None,
+               f"{{a : a*x = a}} != S*x^omega at element {bad}"
+               if bad is not None else
+               f"ideal_size != |S*e| at node {bad_size}")
     # the build raises when a join is not the least upper bound
     report.add("join_is_least_upper_bound", True)
 

@@ -9,7 +9,11 @@ path with the production package, so agreement is meaningful evidence.
 The order-level structure (upsets, the non-antisymmetry witness, chain
 length, J-triviality, the left ideals S*e) is also defined here straight
 from the multiplication table, as the reference for the Cayley-graph
-component routine. The cubic associativity scan is the reference for
+component routine. So is the semilattice (`semilattice`): its nodes are
+the ideals S*e found by search in the left Cayley graph, content is
+S*x^omega and the descent D(u) is the content of a maximal element of the
+stabilizer of u, with no use of the generator labels the library builds
+them from. The cubic associativity scan is the reference for
 `from_table`'s Light's test.
 
 The two reference builders at the end construct the built-in families the
@@ -159,6 +163,67 @@ def longest_chain(up):
 def left_ideal(table, x):
     """S*x."""
     return frozenset(row[x] for row in table)
+
+
+def left_ideal_by_search(table, gens, e):
+    """S*e: what e reaches in the left Cayley graph y -> g*y."""
+    seen = {e}
+    queue = [e]
+    for y in queue:
+        for g in gens:
+            z = table[g][y]
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return frozenset(seen)
+
+
+def semilattice(table, identity, gens):
+    """The semilattice of an R-trivial monoid by its definitions.
+
+    Nodes are the distinct S*e over idempotents e, numbered, each with its
+    witness, by the first such e in id order; J preceq K when S*e_J
+    contains S*e_K; the join is the least upper bound of that order;
+    C(x) = S*x^omega; D(u) is the content of a maximal element of
+    {s : u*s = u}, reached by climbing the weak order from the identity.
+    """
+    n = len(table)
+    ideal_of = {}                   # idempotent -> S*e
+    node_of = {}                    # S*e -> node id
+    ideals, witnesses = [], []
+    for e in range(n):
+        if table[e][e] == e:
+            ideal = ideal_of[e] = left_ideal_by_search(table, gens, e)
+            if ideal not in node_of:
+                node_of[ideal] = len(ideals)
+                ideals.append(ideal)
+                witnesses.append(e)
+    k = len(ideals)
+    preceq = [[ideals[a] >= ideals[b] for b in range(k)] for a in range(k)]
+    join = [[None] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            ubs = [c for c in range(k) if preceq[a][c] and preceq[b][c]]
+            least = [c for c in ubs if all(preceq[c][d] for d in ubs)]
+            assert len(least) == 1, f"no least upper bound of {a}, {b}"
+            join[a][b] = least[0]
+    content = [node_of[ideal_of[idem_power(table, x)]] for x in range(n)]
+    descent = []
+    for u in range(n):
+        stab = {s for s in range(n) if table[u][s] == u}
+        s = identity
+        while True:
+            above = stab.intersection(table[s])
+            above.discard(s)
+            if not above:
+                break
+            s = min(above)
+        descent.append(content[s])
+    return {
+        "witnesses": witnesses, "ideals": ideals, "preceq": preceq,
+        "join": join, "content": content, "descent": descent,
+        "chain_length": longest_chain(upsets(table)),
+    }
 
 
 def associativity_failure(table):

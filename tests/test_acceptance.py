@@ -18,7 +18,7 @@ from rmonoid.verify import run_full_suite
 
 from hecke_reference_data import EXPECTED
 from conftest import hecke_elt, random_r_trivial_monoids, subset_nodes
-from oracle import naive_system
+from oracle import left_ideal, naive_system
 
 
 class Criterion:
@@ -187,7 +187,9 @@ def test_criterion_6_matrix_monoid_against_oracle():
         assert verify_system(lat, sys_).passed
         oracle = naive_system(m.table(), m.identity, list(m.generators))
         for nd in lat.nodes:
-            want = from_coeffs(m, dict(enumerate(oracle[frozenset(nd.ideal)])))
+            ideal = left_ideal(m.table(), nd.witness)
+            assert len(ideal) == nd.ideal_size
+            want = from_coeffs(m, dict(enumerate(oracle[ideal])))
             assert sys_.data[nd.node_id].e == want
 
 

@@ -259,3 +259,42 @@ def test_python_m_rmonoid_runs_the_cli():
     assert bad.returncode == 3 and bad.stdout == ""
     assert len(bad.stderr.splitlines()) == 1
     assert bad.stderr.startswith("input error: ")
+
+
+@pytest.mark.parametrize("table_spec, message", [
+    ('', "table: missing required field"),
+    ('"table":5', "table: expected list, got int"),
+    ('"table":[]', "table: empty table"),
+    ('"table":[[0,1],5]', "table: row 1 must be 2 ids in [0, 2)"),
+    ('"table":[[0,1],[1]]', "table: row 1 must be 2 ids in [0, 2)"),
+    ('"table":[[0,1],[1,2]]', "table: row 1 must be 2 ids in [0, 2)"),
+    ('"table":[[0,1],[1,-1]]', "table: row 1 must be 2 ids in [0, 2)"),
+    ('"table":[[0,true],[1,0]]', "table: row 0 must be 2 ids in [0, 2)"),
+    ('"table":[[0,1.0],[1,0]]', "table: row 0 must be 2 ids in [0, 2)"),
+    ('"table":[[0,"1"],[1,0]]', "table: row 0 must be 2 ids in [0, 2)"),
+    ('"table":[[0,1],[1,0]],"identity":2', "identity: must be an id in [0, 2)"),
+    ('"table":[[0,1],[1,0]],"identity":true',
+     "identity: must be an id in [0, 2)"),
+    ('"table":[[0,1],[1,0]],"generators":[2]',
+     "generators: must be ids in [0, 2)"),
+    ('"table":[[0,1],[1,0]],"generators":[false]',
+     "generators: must be ids in [0, 2)"),
+    ('"table":[[0,1],[1,0]],"generators":1',
+     "generators: must be ids in [0, 2)"),
+    ('"table":[[0,1],[1,1]],"identity":1',
+     "identity: identity axiom fails at element 0"),
+    ('"table":[[0,1],[1,0]],"names":["a","b"]',
+     "names: one name per generator required"),
+    ('"table":[[0,1,2],[1,1,1],[2,2,2]],"generators":[1]',
+     "generators: generators only reach 2 of 3 elements"),
+    ('"table":[[0,1,2],[1,0,0],[2,0,0]]',
+     "table: associativity fails at triple (1, 1, 2)"),
+])
+def test_table_spec_errors_exit_3_with_one_line(capsys, table_spec, message):
+    # entries and ids are checked once, by parse_spec; the identity axiom,
+    # generation and associativity when the monoid is built
+    spec = '{"kind":"table"%s}' % ("," + table_spec if table_spec else "")
+    assert main(["lattice", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from rmonoid import (CapExceeded, SpecError, build_free_lrb, build_hecke_a,
-                     load, parse_spec, weak_preorder)
+from rmonoid import (CapExceeded, MonoidSpec, SpecError, build_free_lrb,
+                     build_hecke_a, load, parse_spec, weak_preorder)
 from rmonoid.order import iter_bits
 
 import oracle
@@ -186,6 +186,20 @@ def test_parse_spec_errors():
         with pytest.raises(SpecError) as err:
             load(parse_spec(text))
         assert err.value.field == field, text
+
+
+def test_load_checks_a_table_spec_built_without_parse_spec():
+    # MonoidSpec is public: load still rejects entries and ids out of range
+    for spec, message in [
+        (MonoidSpec(kind="table", table=((0, 1), (1, 2)), identity=0),
+         "table: entry [1][1] = 2 outside [0, 2)"),
+        (MonoidSpec(kind="table", table=((0, 1), (1, 0)), identity=0,
+                    generators=(5,)),
+         "generators: generator id 5 outside [0, 2)"),
+    ]:
+        with pytest.raises(SpecError) as err:
+            load(spec)
+        assert str(err.value) == message
 
 
 def test_default_generator_names():

@@ -2,12 +2,27 @@ import dataclasses
 
 import pytest
 
-from rmonoid import (NotRTrivial, build_hecke_a, build_semilattice,
-                     verify_weak_order_axioms, weak_preorder)
+import oracle
+from rmonoid import (Monoid, NotRTrivial, build_free_lrb, build_hecke_a,
+                     build_semilattice, verify_weak_order_axioms,
+                     weak_preorder)
+from rmonoid import order as order_module
+from rmonoid import cli as cli_module
 from rmonoid import verify
 from rmonoid.cli import main
 
-from conftest import subset_nodes
+from conftest import random_r_trivial_monoids, subset_nodes
+
+
+def node_ideal(lat, J):
+    """S*e of node J's witness, by search in the left Cayley graph of the
+    table, as a sorted tuple; its length must be the node's ideal_size."""
+    m = lat.monoid
+    nd = lat.nodes[J]
+    ideal = tuple(sorted(oracle.left_ideal_by_search(
+        m.table(), m.generators, nd.witness)))
+    assert len(ideal) == nd.ideal_size
+    return ideal
 
 
 def test_refuses_non_r_trivial(group2):
@@ -28,7 +43,7 @@ def test_lrb_lattice_shape(lrb2):
     # nodes S, Sa, Sb, Sab = Sba with Sa, Sb incomparable below Sab
     lat = build_semilattice(lrb2)
     assert lat.n_nodes == 4
-    ideals = {nd.ideal for nd in lat.nodes}
+    ideals = {node_ideal(lat, nd.node_id) for nd in lat.nodes}
     assert ideals == {(0, 1, 2, 3, 4), (1, 3, 4), (2, 3, 4), (3, 4)}
     nodes = subset_nodes(lat)
     bot, na, nb, nab = nodes[()], nodes[(1,)], nodes[(2,)], nodes[(1, 2)]
@@ -73,9 +88,10 @@ def test_node_invariants(matrix_monoid, lrb2, hecke4):
         for nd in lat.nodes:
             e = nd.witness
             assert m.mult(e, e) == e
-            assert e in nd.ideal
-            assert nd.ideal == tuple(sorted({m.mult(s, e)
-                                             for s in range(m.size)}))
+            ideal = node_ideal(lat, nd.node_id)
+            assert e in ideal
+            assert ideal == tuple(sorted({m.mult(s, e)
+                                          for s in range(m.size)}))
             # T of the node is idempotent with content exactly the node
             from rmonoid import node_data
             T = node_data(lat, nd.node_id).T
@@ -133,18 +149,25 @@ def test_content_both_characterizations(matrix_monoid, lrb2, hecke4):
             s_xo = frozenset(m.mult(s, xo) for s in range(m.size))
             fixed = frozenset(a for a in range(m.size) if m.mult(a, x) == a)
             assert s_xo == fixed
-            assert lat.nodes[lat.content(x)].ideal == tuple(sorted(s_xo))
+            assert node_ideal(lat, lat.content(x)) == tuple(sorted(s_xo))
+
+
+def _corrupt_top_node(monkeypatch, **fields):
+    """Make the suite's semilattice of free_lrb 2 carry `fields` on its top
+    node, whose ideal is S*ab = {ab, ba} = (3, 4)."""
+    def corrupted(m, order=None):
+        lat = build_semilattice(m, order)
+        J = next(nd.node_id for nd in lat.nodes
+                 if node_ideal(lat, nd.node_id) == (3, 4))
+        lat.nodes[J] = dataclasses.replace(lat.nodes[J], **fields)
+        return lat
+    monkeypatch.setattr(verify, "build_semilattice", corrupted)
 
 
 def _corrupt_top_ideal(monkeypatch):
-    """Make the suite's semilattice of free_lrb 2 list (2, 4) as the ideal
-    S*ab = {ab, ba} of its top node."""
-    def corrupted(m, order=None):
-        lat = build_semilattice(m, order)
-        J = next(nd.node_id for nd in lat.nodes if nd.ideal == (3, 4))
-        lat.nodes[J] = dataclasses.replace(lat.nodes[J], ideal=(2, 4))
-        return lat
-    monkeypatch.setattr(verify, "build_semilattice", corrupted)
+    """Give the top node of free_lrb 2 the witness b, so that the suite
+    finds S*b = (2, 3, 4) as its ideal."""
+    _corrupt_top_node(monkeypatch, witness=2)
 
 
 def test_content_check_can_fail(lrb2, monkeypatch):
@@ -164,13 +187,28 @@ def test_content_check_failure_makes_verify_exit_1(monkeypatch, capsys):
     assert "FAIL  content_characterizations_agree" in capsys.readouterr().out
 
 
+def test_content_check_catches_a_wrong_ideal_size(lrb2, monkeypatch):
+    # the top node's S*ab has 2 elements; the content sets stay right, so
+    # only the size comparison can fail, naming the node (a size of 1 keeps
+    # the node first in e_system's order, so the rest of the suite runs)
+    lat = build_semilattice(lrb2)
+    J = next(nd.node_id for nd in lat.nodes
+             if node_ideal(lat, nd.node_id) == (3, 4))
+    _corrupt_top_node(monkeypatch, ideal_size=1)
+    report = verify.run_full_suite(lrb2)
+    assert not report.passed
+    assert [ln for ln in report.lines() if ln.startswith("FAIL")] == [
+        f"FAIL  content_characterizations_agree  (ideal_size != |S*e| "
+        f"at node {J})"]
+
+
 def test_hecke7_semilattice_reads_only_generator_rows():
-    # products are word walks and S*e comes from the left Cayley graph,
-    # whose edges are the k generator rows
+    # nodes, content, joins and ideal sizes come from the generator steps
+    # and word walks: no row of the table is built
     m = build_hecke_a(7)
     assert build_semilattice(m).n_nodes == 64
     forced = [x for x in range(m.size) if m._rows[x] is not None]
-    assert forced == sorted(m.generators)
+    assert forced == []
 
 
 def test_join_is_least_upper_bound(matrix_monoid, lrb2, hecke4):
@@ -187,7 +225,7 @@ def test_join_is_least_upper_bound(matrix_monoid, lrb2, hecke4):
                 # join is the ideal of (ef)^omega for the witnesses
                 e, f = lat.nodes[a].witness, lat.nodes[b].witness
                 ef = m.idempotent_power(m.mult(e, f))
-                assert lat.nodes[j].ideal == tuple(sorted(
+                assert node_ideal(lat, j) == tuple(sorted(
                     {m.mult(s, ef) for s in range(m.size)}
                 ))
 
@@ -242,3 +280,113 @@ def test_order_is_shared(matrix_monoid):
     order = weak_preorder(matrix_monoid)
     lat = build_semilattice(matrix_monoid, order)
     assert lat.order is order
+
+
+def assert_semilattice_matches_oracle(m):
+    """Node ids, witnesses, preceq, joins, ideal sizes, content, descent
+    and chain length equal their definitions in the oracle."""
+    ref = oracle.semilattice(m.table(), m.identity, m.generators)
+    lat = build_semilattice(m)
+    k, n = lat.n_nodes, m.size
+    assert [nd.node_id for nd in lat.nodes] == list(range(k))
+    assert [nd.witness for nd in lat.nodes] == ref["witnesses"]
+    assert [nd.ideal_size for nd in lat.nodes] == [len(s) for s in ref["ideals"]]
+    assert [[lat.preceq(a, b) for b in range(k)]
+            for a in range(k)] == ref["preceq"]
+    assert [[lat.join(a, b) for b in range(k)] for a in range(k)] == ref["join"]
+    assert [lat.content(x) for x in range(n)] == ref["content"]
+    assert [lat.descent(u) for u in range(n)] == ref["descent"]
+    assert lat.bottom == ref["content"][m.identity]
+    assert lat.order.chain_length == ref["chain_length"]
+
+
+@pytest.mark.parametrize("build, size", [
+    *((build_hecke_a, n) for n in range(2, 7)),
+    *((build_free_lrb, k) for k in range(1, 6)),
+], ids=[*(f"hecke_a{n}" for n in range(2, 7)),
+        *(f"free_lrb{k}" for k in range(1, 6))])
+def test_semilattice_matches_oracle_on_families(build, size):
+    assert_semilattice_matches_oracle(build(size))
+
+
+def test_semilattice_matches_oracle_on_random_monoids(matrix_monoid):
+    assert_semilattice_matches_oracle(matrix_monoid)
+    monoids = random_r_trivial_monoids(120, seed=1909)
+    for m in monoids:
+        assert_semilattice_matches_oracle(m)
+    # some lattice must have a join whose label holds more generators than
+    # its two sides together, so that labels alone cannot give the joins
+    assert any(
+        len(lat.generator_label(lat.join(a, b)))
+        > len(set(lat.generator_label(a)) | set(lat.generator_label(b)))
+        for lat in map(build_semilattice, monoids)
+        for a in range(lat.n_nodes) for b in range(lat.n_nodes))
+
+
+def test_lattice_forces_no_row_and_builds_no_upset(monkeypatch, capsys):
+    # hecke_a 6: `lattice` reads only generator steps and word walks, and
+    # neither `lattice` nor `idempotents` reads the order's upset masks
+    rows, upsets = [], []
+    row, build_upsets = Monoid.row, order_module._upsets
+    monkeypatch.setattr(Monoid, "row",
+                        lambda m, x: rows.append(x) or row(m, x))
+    monkeypatch.setattr(order_module, "_upsets",
+                        lambda *a: upsets.append(1) or build_upsets(*a))
+    assert main(["lattice", '{"kind":"hecke_a","n":6}']) == 0
+    assert rows == [] and upsets == []
+    assert main(["idempotents", '{"kind":"hecke_a","n":6}']) == 0
+    assert rows and upsets == []
+    capsys.readouterr()
+    # the counters do see a verification that reads both
+    assert main(["verify", '{"kind":"hecke_a","n":3}']) == 0
+    assert upsets == [1]
+
+
+def _doctor_suite_lattice(monkeypatch, doctor):
+    """Have `analyze` and `verify` build their semilattice, then pass it
+    through `doctor` before the axiom checks read it."""
+    def doctored(m, order=None):
+        lat = build_semilattice(m, order)
+        doctor(lat)
+        return lat
+    monkeypatch.setattr(verify, "build_semilattice", doctored)
+    monkeypatch.setattr(cli_module, "build_semilattice", doctored)
+
+
+def _disagreeing_maxima(lat):
+    # free_lrb 2: ab and ba are the maximal elements of ab's stabilizer;
+    # give ba the content of a
+    lat._content[4] = lat._content[1]
+
+
+def _non_idempotent_maximum(lat):
+    # matrix monoid: g1g2 (3) is not idempotent and lies below g2g1 (4);
+    # swap their order so that g1g2 is the only maximal element of the
+    # stabilizer of g2g1, which is the whole monoid
+    up = list(lat.order.up)
+    up[3] &= ~(1 << 4)
+    up[4] |= 1 << 3
+    lat.order.up = up
+
+
+def _descent_mismatch(lat):
+    lat.descent = lambda u: lat.bottom
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("spec, doctor, message", [
+    ('{"kind":"free_lrb","k":2}', _disagreeing_maxima,
+     "descent of element 3 ill-defined: maximal stabilizer elements have "
+     "contents [1, 3]"),
+    ('{"kind":"transformations","degree":3,"generators":[[0,2,2],[1,1,2]]}',
+     _non_idempotent_maximum,
+     "maximal stabilizer element 3 of 4 is not idempotent"),
+    ('{"kind":"free_lrb","k":2}', _descent_mismatch,
+     "descent of element 1: generator steps give node 0, a maximal "
+     "stabilizer element node 1"),
+], ids=["contents-disagree", "not-idempotent", "generator-steps-disagree"])
+def test_descent_faults_exit_1_from_analyze_and_verify(
+        monkeypatch, capsys, command, spec, doctor, message):
+    _doctor_suite_lattice(monkeypatch, doctor)
+    assert main([command, spec]) == 1
+    assert capsys.readouterr().err == f"verification failure: {message}\n"

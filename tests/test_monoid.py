@@ -148,6 +148,25 @@ def test_from_table_bad_entries():
         from_table([[0, 5], [1, 0]])
 
 
+@pytest.mark.parametrize("table, kwargs, message", [
+    ([], {}, "table: empty table"),
+    ([[0, 1], [1]], {}, "table: row 1 has length 1, expected 2"),
+    ([[0, 1], [1, 2]], {}, "table: entry [1][1] = 2 outside [0, 2)"),
+    ([[0, 1], [1, -1]], {}, "table: entry [1][1] = -1 outside [0, 2)"),
+    ([[0, 1.0], [1, 0]], {}, "table: entry [0][1] = 1.0 outside [0, 2)"),
+    ([[0, "1"], [1, 0]], {}, "table: entry [0][1] = '1' outside [0, 2)"),
+    ([[0, 1], [1, 0]], {"identity": 2}, "identity: 2 outside [0, 2)"),
+    ([[0, 1], [1, 0]], {"generators": [2]},
+     "generators: generator id 2 outside [0, 2)"),
+])
+def test_from_table_checks_entries_when_called_directly(table, kwargs,
+                                                         message):
+    # each message from_table's own checks give, before any table is built
+    with pytest.raises(SpecError) as err:
+        from_table(table, **kwargs)
+    assert str(err.value) == message
+
+
 def test_from_table_generators_must_generate(lrb2):
     table = lrb2.table()
     with pytest.raises(SpecError) as err:

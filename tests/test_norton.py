@@ -11,7 +11,7 @@ from rmonoid.output import system_payload, to_json
 from rmonoid.verify import _p_closed_form
 
 from conftest import hecke_elt, random_transformation_monoids, subset_nodes
-from oracle import naive_system
+from oracle import left_ideal, naive_system
 
 
 def test_t_element_lrb(lrb2):
@@ -191,7 +191,7 @@ def test_e_system_matches_naive_oracle(matrix_monoid, lrb2, hecke3, hecke4):
         for mode in ("general", "auto"):
             sys_ = e_system(lat, mode=mode)
             for nd in lat.nodes:
-                want = oracle[frozenset(nd.ideal)]
+                want = oracle[left_ideal(m.table(), nd.witness)]
                 got = sys_.data[nd.node_id].e
                 assert got == from_coeffs(m, dict(enumerate(want)))
 
@@ -256,7 +256,7 @@ def _cartan_ranks_and_counts(m):
     table = m.table()
     lat = build_semilattice(m)
     es = [rec.e.coeffs for rec in e_system(lat, mode="auto").data]
-    node_of = {frozenset(nd.ideal): nd.node_id for nd in lat.nodes}
+    node_of = {left_ideal(table, nd.witness): nd.node_id for nd in lat.nodes}
     idem = [f for f in range(n) if table[f][f] == f]
     two_sided = {}
     for f in idem:

@@ -2,7 +2,7 @@ import oracle
 from conftest import random_transformation_monoids
 from rmonoid import (build_free_lrb, build_semilattice, check_left_absorption,
                      is_j_trivial, weak_preorder)
-from rmonoid.order import _reach, iter_bits
+from rmonoid.order import _reach, _upsets, iter_bits
 from rmonoid.verify import check_omega_identities
 
 
@@ -85,10 +85,11 @@ def assert_structure_matches_oracle(m):
     if order.is_partial_order:
         lat = build_semilattice(m, order)
         idempotents = [e for e in range(m.size) if table[e][e] == e]
+        ideal = [oracle.left_ideal(table, nd.witness) for nd in lat.nodes]
+        assert [len(s) for s in ideal] == [nd.ideal_size for nd in lat.nodes]
         for e in idempotents:
-            ideal = lat.nodes[lat.content(e)].ideal
-            assert frozenset(ideal) == oracle.left_ideal(table, e)
-        assert {frozenset(nd.ideal) for nd in lat.nodes} == {
+            assert ideal[lat.content(e)] == oracle.left_ideal(table, e)
+        assert set(ideal) == {
             oracle.left_ideal(table, e) for e in idempotents}
 
 
@@ -116,14 +117,17 @@ def test_structure_matches_brute_force_on_random_monoids():
 
 def test_reach_on_long_path_and_cycle():
     n = 20_000
-    comp, mask, height = _reach([[x + 1] for x in range(n - 1)] + [[]])
+    path = [[x + 1] for x in range(n - 1)] + [[]]
+    comp, height = _reach(path)
     assert len(set(comp)) == n
     assert height == [n - x for x in range(n)]
+    mask = _upsets(path, comp)
     assert mask[0] == (1 << n) - 1 and mask[n - 1] == 1 << (n - 1)
-    comp, mask, height = _reach([[(x + 1) % n] for x in range(n)])
+    cycle = [[(x + 1) % n] for x in range(n)]
+    comp, height = _reach(cycle)
     assert len(set(comp)) == 1
     assert height == [1] * n
-    assert set(mask) == {(1 << n) - 1}
+    assert set(_upsets(cycle, comp)) == {(1 << n) - 1}
 
 
 def test_j_trivial_implies_r_trivial(matrix_monoid, lrb2, hecke4, group2,
