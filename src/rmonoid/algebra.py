@@ -9,9 +9,8 @@ A product a*b is the sum of a_x * (x*b) over the support of a. Each left
 translate x*b comes from s*b, for x = g*s on the monoid's left Cayley
 tree, by one step y -> g*y along generator g's row, so products read only
 the k generator rows. `RightFactor` keeps the translates of one b for
-every product with that b on the right; `left_translates` builds all n
-of them in one sweep, for scans that multiply many elements by b
-(`right_multiplier`).
+every product with that b on the right, built only for the x that the
+left operands reach.
 
 >>> from .families import build_free_lrb
 >>> m = build_free_lrb(2)
@@ -209,48 +208,6 @@ class RightFactor:
             for z, c in t.items():
                 out[z] = get(z, 0) + cx * c
         return AlgebraElement(m, out)
-
-
-def left_translates(b: AlgebraElement) -> list[dict[int, int]]:
-    """Every left translate x*b, as a list indexed by x; do not mutate it.
-
-    One sweep of the left Cayley tree in BFS order: x*b is g*(s*b) for
-    x = g*s, and the order has built s*b before x.
-    """
-    m = b.monoid
-    order, parent, step_row = m._left_tree()
-    out: list[dict[int, int]] = [{}] * m.size
-    out[m.identity] = b.coeffs
-    for x in order[1:]:
-        if t := out[parent[x]]:
-            out[x] = _image(step_row[x], t)
-    return out
-
-
-def mul_translates(a: AlgebraElement,
-                   translates: list[dict[int, int]]) -> AlgebraElement:
-    """a*b from b's `left_translates`: the sum of a_x * (x*b)."""
-    out: dict[int, int] = {}
-    get = out.get
-    for x, cx in a.coeffs.items():
-        for z, c in translates[x].items():
-            out[z] = get(z, 0) + cx * c
-    return AlgebraElement(a.monoid, out)
-
-
-def right_multiplier(b: AlgebraElement):
-    """a -> a*b, for scans that multiply many elements a by one b.
-
-    Once every row is built (every monoid in `verify`), reading x*b off
-    x's row inside the product costs no more than reading a stored
-    translate, so only the x in a's support are read
-    (`RightFactor.left_mul`). Otherwise all n translates are built in one
-    sweep (`left_translates`) and every product reads them.
-    """
-    if b.monoid._all_rows_built():
-        return RightFactor(b).left_mul
-    translates = left_translates(b)
-    return lambda a: mul_translates(a, translates)
 
 
 def _image(r: list[int], v: dict[int, int]) -> dict[int, int]:

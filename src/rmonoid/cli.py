@@ -16,6 +16,7 @@ reported on one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -130,7 +131,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: every `add_argument` asks
+    argparse for the terminal size, which costs more than a parse."""
     parser = argparse.ArgumentParser(
         prog="rmonoid",
         description="Idempotent systems for finite R-trivial monoids",

@@ -97,7 +97,6 @@ class Monoid:
                                                                gen_step)
         self.size = len(self._order)
         self._rows: list[list[int] | None] = [None] * self.size
-        self._rows_built = 0
         self._words: list[tuple[int, ...] | None] = [None] * self.size
         self._idem_power: dict[int, int] = {}
         self._ltree = None
@@ -126,19 +125,11 @@ class Monoid:
             for y in islice(self._order, 1, None):
                 r[y] = step[r[par[y]]][pgen[y]]
             self._rows[x] = r
-            self._rows_built += 1
         return r
 
     def _cached_row(self, x: int) -> list[int] | None:
         """The row of `x` if it is already built, else None."""
         return self._rows[x]
-
-    def _all_rows_built(self) -> bool:
-        """Whether every row is built, as after `table` or verification's
-        row scans. A row built twice by concurrent readers counts twice, so
-        this may turn true early, never late; products that ask are the
-        same either way."""
-        return self._rows_built >= self.size
 
     def _left_graph(self) -> list[list[int]]:
         """Per element y, the products g*y over the generators in input

@@ -17,17 +17,20 @@ P_J = sum of (1-z_J)^k z_J over k < N, N least with (1-z_J)^N z_J = 0,
 yields the same system. Both sums equal the paper's closed forms, which
 `verify` recomputes. Construction only computes: `verify_system` checks
 that P_J and e_J are idempotent and that z_J, P_J and e_J have unit
-leading terms.
+leading terms. It proves most of its products zero without computing
+them, by a zero certificate read off the generator steps, and derives
+orthogonality of the e_J from idempotency and their sum by a lemma; both
+are stated and proved where they are used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (AlgebraElement, basis, one, power_until_stable,
-                      right_multiplier, zero)
+from .algebra import (AlgebraElement, RightFactor, basis, one,
+                      power_until_stable, zero)
 from .errors import ConsistencyError
-from .lattice import Semilattice
+from .lattice import Semilattice, _fixed
 from .order import is_j_trivial
 from .reporting import Report
 
@@ -165,25 +168,14 @@ def e_system(lat: Semilattice, mode: str = "auto") -> IdempotentSystem:
     for nd in order:
         J = nd.node_id
         rec = node_data(lat, J, mode=mode)
-        rest = one(m)
+        rest = {m.identity: 1}          # 1 - sum of e_K, K strictly above J
+        get = rest.get
         for K in lat.strictly_above(J):
-            rest = rest - data[K].e
-        rec.e = rec.P * rest
+            for x, c in data[K].e.coeffs.items():
+                rest[x] = get(x, 0) - c
+        rec.e = rec.P * AlgebraElement(m, rest)
         data[J] = rec
     return IdempotentSystem(data=data, mode_used=mode)
-
-
-def _scan_column(best, left, b, times_rb, skip):
-    """One column of a scan for the first (a, b) in row-major order with
-    skip(a, b) false and left[a] * right[b] != 0, times_rb being
-    a -> a * right[b]: the first such pair in column b above the row of
-    `best`, else `best`. Columns come in increasing b, so a column stops
-    at the row of the best pair so far.
-    """
-    for a in range(len(left) if best is None else best[0]):
-        if not skip(a, b) and not times_rb(left[a]).is_zero():
-            return (a, b)
-    return best
 
 
 def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
@@ -197,37 +189,99 @@ def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
     the first pair in row-major order. The report is also stored on the
     system record. Nothing raises; the CLI turns failures into exit codes.
 
-    Every check that multiplies by e_J, P_J or z_J on the right shares
-    one `right_multiplier` of that factor (one sweep of its left
-    translates): three per node, only one kept at a time.
+    Zero certificate: if x*g = x for a generator g with g^omega*b = 0,
+    then x*b = 0. Proof: x*g = x gives x*g^j = x for every j >= 1, so
+    x*g^omega = x and x*b = x*g^omega*b = 0. So with Fix(x) = {g : x*g = x}
+    and Kill(b) = {g : g^omega*b = 0} as masks of generator positions,
+    a*b sums a_x*(x*b) only over the x in a's support with
+    Fix(x) & Kill(b) = 0, and is 0 when no such x is left. Fix comes from
+    the generator steps, Kill(b) from k one-element products per right
+    factor, each of which gets one `RightFactor`, one alive at a time.
+    Pairs the certificate leaves are multiplied exactly, so every scan
+    still names the first nonzero pair.
+
+    `orthogonal` follows from `idempotent` and `sum_to_one` by a lemma:
+    over Q, idempotents e_1..e_r with sum 1 are pairwise orthogonal.
+    Proof: in the left regular representation of QM (faithful, as M has a
+    unit) each e_i is an idempotent operator, so its rank is its trace,
+    and the traces sum to trace(1) = n. The images span QM (v is the sum
+    of the e_i*v), so their sum is direct. For w = e_j*v in the image of
+    e_j, w = sum_i e_i*w then forces e_i*w = 0 for i != j; so e_i*e_j acts
+    as 0 and e_i*e_j = 0. When `idempotent` or `sum_to_one` fails, the
+    e-scan runs and names the first nonzero pair.
     """
     m = lat.monoid
     report = Report()
     data = sys.data[:lat.n_nodes]   # extra records fail count_equals_lattice
-    es = [nd.e for nd in data]
+    left = {what: [getattr(nd, what) for nd in data] for what in "ezP"}
+    steps = m._gen_step
+    fix = dict.fromkeys(x for elems in left.values() for a in elems
+                        for x in a.coeffs)
+    for x in fix:
+        fix[x] = _fixed(steps[x], x)
+    masks = {what: [set(map(fix.get, a.coeffs)) for a in elems]
+             for what, elems in left.items()}
+    killers: dict[int, int] = {}    # g^omega -> positions i with g_i^omega
+    for i, g in enumerate(m.generators):
+        go = m.idempotent_power(g)
+        killers[go] = killers.get(go, 0) | 1 << i
 
-    # each orthogonality scan: its right factor, left list, skip, detail
+    def factor(b):
+        """a -> a*b over a's terms the certificate leaves, and Kill(b)."""
+        rf = RightFactor(b)
+        kill = sum(bits for go, bits in killers.items()
+                   if not rf.translate(go))
+        return (lambda a: rf.left_mul(AlgebraElement(m, {
+            x: c for x, c in a.coeffs.items() if not fix[x] & kill}))), kill
+
+    # each orthogonality scan: its right factor, left operands, skip, detail
     scans = {
-        "orthogonal": ("e", es, lambda J, K: J == K, "e_J * e_K != 0 at {}"),
-        "z_orthogonality": ("z", [nd.z for nd in data], lat.preceq,
+        "orthogonal": ("e", "e", lambda J, K: J == K, "e_J * e_K != 0 at {}"),
+        "z_orthogonality": ("z", "z", lat.preceq,
                             "z_J * z_K != 0 at {} with J not preceq K"),
-        "p_orthogonality": ("P", [nd.P for nd in data], lat.preceq,
+        "p_orthogonality": ("P", "P", lat.preceq,
                             "P_J * P_K != 0 at {} with J not preceq K"),
-        "e_p_orthogonality": ("P", es, lat.preceq,
+        "e_p_orthogonality": ("P", "e", lat.preceq,
                               "e_K * P_J != 0 at {} with K not preceq J"),
     }
     first = dict.fromkeys(scans)
+
+    def scan_columns(names, K, what, times_b, kill):
+        """Column K of each named scan whose right factor is `what`, with
+        times_b multiplying by it and kill its Kill mask. Columns come in
+        increasing K, so a column stops at the row of the first pair found
+        so far, and a scan ends with its first nonzero pair in row-major
+        order. A pair the certificate settles is not multiplied."""
+        for name in names:
+            right, lw, skip, _ = scans[name]
+            if right != what:
+                continue
+            ops, op_masks, best = left[lw], masks[lw], first[name]
+            for a in range(len(ops) if best is None else best[0]):
+                if skip(a, K) or all(f & kill for f in op_masks[a]):
+                    continue
+                if not times_b(ops[a]).is_zero():
+                    first[name] = (a, K)
+                    break
+
+    sum_ok = sum(left["e"], AlgebraElement(m, {})) == one(m)
+
     idem = None
     for K, nd in enumerate(data):
         for what in "ePz":
+            if what == "e" and idem is not None:
+                continue
             b = getattr(nd, what)
-            times_b = right_multiplier(b)
+            times_b, kill = factor(b)
             if what != "z" and idem is None and times_b(b) != b:
                 idem = f"{what} at node {K}"
-            for name, (right, left, skip, _) in scans.items():
-                if right == what:
-                    first[name] = _scan_column(first[name], left, K,
-                                               times_b, skip)
+            scan_columns(("z_orthogonality", "p_orthogonality",
+                          "e_p_orthogonality"), K, what, times_b, kill)
+            del times_b
+    if idem is not None or not sum_ok:
+        for K, e in enumerate(left["e"]):
+            times_b, kill = factor(e)
+            scan_columns(("orthogonal",), K, "e", times_b, kill)
             del times_b
 
     def add_scan(name):
@@ -235,11 +289,7 @@ def verify_system(lat: Semilattice, sys: IdempotentSystem) -> Report:
 
     report.add("idempotent", idem is None, idem)
     add_scan("orthogonal")
-
-    total = AlgebraElement(m, {})
-    for e in es:
-        total = total + e
-    report.add("sum_to_one", total == one(m), "sum of all e_J is not 1")
+    report.add("sum_to_one", sum_ok, "sum of all e_J is not 1")
 
     # a zero e fails too: its coefficient of T is 0
     fault = next(filter(None, (

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
-from rmonoid import (CapExceeded, Transformation, build_free_lrb,
+from rmonoid import (CapExceeded, Transformation, basis, build_free_lrb,
                      build_hecke_a, close, from_table, weak_preorder)
+from rmonoid.norton import IdempotentSystem
 
 
 @pytest.fixture(scope="session")
@@ -114,3 +116,28 @@ def permuted_table(m, seed):
         for y in range(n):
             table[perm[x]][perm[y]] = perm[t[x][y]]
     return table, perm[m.identity], [perm[g] for g in m.generators]
+
+
+CORRUPTIONS = ("scale", "replace", "copy", "shift", "swap", "drop")
+
+
+def corrupted(sys_, kind, what, J, K, x, c=2):
+    """A copy of sys_ with one edit to its records, J and K indexing them:
+    the `what` ('e', 'P' or 'z') of record J scaled by c ('scale'),
+    replaced by c*[x] ('replace') or by record K's ('copy'), shifted by
+    c*[x] ('shift'), or swapped with record K's ('swap'); or record J
+    dropped ('drop')."""
+    data = [dataclasses.replace(nd) for nd in sys_.data]
+    rec, other = data[J], data[K]
+    v = getattr(rec, what)
+    cx = basis(v.monoid, x).scale(c)
+    if kind == "drop":
+        data.pop(J)
+    elif kind == "swap":
+        setattr(rec, what, getattr(other, what))
+        setattr(other, what, v)
+    else:
+        setattr(rec, what, {"scale": v.scale(c), "replace": cx,
+                            "copy": getattr(other, what),
+                            "shift": v + cx}[kind])
+    return IdempotentSystem(data, sys_.mode_used)

@@ -31,12 +31,12 @@ from rmonoid import Transformation, close, from_table
 def vec_mul(table, u, v):
     n = len(table)
     out = [0] * n
+    nonzero = [(j, dj) for j, dj in enumerate(v) if dj]
     for i, ci in enumerate(u):
         if ci:
             row = table[i]
-            for j, dj in enumerate(v):
-                if dj:
-                    out[row[j]] += ci * dj
+            for j, dj in nonzero:
+                out[row[j]] += ci * dj
     return out
 
 
@@ -129,6 +129,72 @@ def naive_system(table, identity, gens):
                 rest = vec_addmul(rest, -1, eK)
         results[J] = vec_mul(table, total, rest)
     return results
+
+
+def system_check_lines(table, identity, gens, records):
+    """The report lines of `verify_system`, by the definitions.
+
+    `records` holds (node_id, T, z, P, e) per record, with z, P and e as
+    {element: coefficient} maps. Every product is dense, through
+    `vec_mul`, and every scan multiplies each pair it does not skip, in
+    row-major order, until the first nonzero one: no zero certificate and
+    no orthogonality lemma. Node order and content come from `semilattice`.
+    """
+    lat = semilattice(table, identity, gens)
+    preceq, content = lat["preceq"], lat["content"]
+    n, k = len(table), len(lat["ideals"])
+    recs = records[:k]
+    r = range(len(recs))
+    T = [rec[1] for rec in recs]
+    Z, P, E = ([[rec[i].get(x, 0) for x in range(n)] for rec in recs]
+               for i in (2, 3, 4))
+    lines = []
+
+    def add(name, fault, detail):
+        lines.append(f"PASS  {name}" if fault is None
+                     else f"FAIL  {name}  ({detail.format(fault)})")
+
+    def first_nonzero(left, right, skip):
+        return next(((a, b) for a in r for b in r if not skip(a, b)
+                     and any(vec_mul(table, left[a], right[b]))), None)
+
+    add("idempotent", next((f"{w} at node {K}" for K in r
+                            for w, v in (("e", E[K]), ("P", P[K]))
+                            if vec_mul(table, v, v) != v), None), "{}")
+    add("orthogonal", first_nonzero(E, E, lambda a, b: a == b),
+        "e_J * e_K != 0 at {}")
+    total = [sum(col) for col in zip(*E)] if E else [0] * n
+    add("sum_to_one", None if total == vec_unit(n, identity) else 1,
+        "sum of all e_J is not 1")
+
+    def leading_fault(J, what, v):
+        t = T[J]
+        if v[t] != 1:
+            return f"coefficient of T in {what} at node {J} is {v[t]}"
+        for y in range(n):
+            c = content[y]
+            if y != t and v[y] and (c == J or not preceq[J][c]):
+                return (f"term {y} of {what} at node {J} has content {c}, "
+                        f"not strictly above {J}")
+        return None
+    add("nonzero_with_unit_leading_term", next(filter(None, (
+        leading_fault(J, what, v) for J in r
+        for what, v in (("z", Z[J]), ("P", P[J]), ("e", E[J])))), None), "{}")
+
+    bad = next((J for J in r if recs[J][0] != J), None)
+    add("count_equals_lattice",
+        None if len(records) == k and bad is None else 1,
+        f"{len(records)} idempotents for {k} nodes" if bad is None
+        else f"record {bad} has node_id {recs[bad][0]}")
+
+    below = lambda a, b: preceq[a][b]
+    add("z_orthogonality", first_nonzero(Z, Z, below),
+        "z_J * z_K != 0 at {} with J not preceq K")
+    add("p_orthogonality", first_nonzero(P, P, below),
+        "P_J * P_K != 0 at {} with J not preceq K")
+    add("e_p_orthogonality", first_nonzero(E, P, below),
+        "e_K * P_J != 0 at {} with K not preceq J")
+    return lines
 
 
 # -- brute-force definitions of the order-level structure --------------------

@@ -298,3 +298,41 @@ def test_table_spec_errors_exit_3_with_one_line(capsys, table_spec, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    # building a parser asks the help formatter for the terminal size at
+    # every add_argument, so main builds it once per process
+    import argparse
+    import types
+    from rmonoid import cli
+    fresh = cli.build_parser.__wrapped__()
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "argparse",
+                        types.SimpleNamespace(ArgumentParser=Counting))
+    try:
+        assert main(["verify", LRB2]) == 0
+        n_built = len(built)
+        assert main(["verify", LRB2]) == 0
+        assert len(built) == n_built and built[0] == "rmonoid"
+        # help and usage errors read as from a parser built afresh
+        for argv, code in ((["--help"], 0), (["idempotents", "--help"], 0),
+                           ([], 2), (["idempotents", LRB2, "--mode", "x"], 2)):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as got:
+                main(argv)
+            out = capsys.readouterr()
+            with pytest.raises(SystemExit) as want:
+                fresh.parse_args(argv)
+            assert (got.value.code, out) == (want.value.code,
+                                             capsys.readouterr())
+            assert got.value.code == code
+        assert len(built) == n_built
+    finally:
+        cli.build_parser.cache_clear()

@@ -1,17 +1,21 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
-from rmonoid import (basis, build_hecke_a, build_semilattice, e_system,
-                     from_coeffs, from_table, is_j_trivial, node_data, one,
-                     verify_system, weak_preorder)
-from rmonoid.algebra import left_translates
+from rmonoid import (Transformation, basis, build_free_lrb, build_hecke_a,
+                     build_semilattice, close, e_system, from_coeffs,
+                     from_table, is_j_trivial, node_data, one, verify_system,
+                     weak_preorder)
+from rmonoid import algebra
 from rmonoid.output import system_payload, to_json
 from rmonoid.verify import _p_closed_form
 
-from conftest import hecke_elt, random_transformation_monoids, subset_nodes
-from oracle import left_ideal, naive_system
+from conftest import (CORRUPTIONS, corrupted, hecke_elt,
+                      random_r_trivial_monoids, random_transformation_monoids,
+                      subset_nodes)
+from oracle import left_ideal, naive_system, system_check_lines
 
 
 def test_t_element_lrb(lrb2):
@@ -508,25 +512,121 @@ def test_idempotent_check_names_lowest_node_e_before_p(corrupt, detail):
     assert checks["idempotent"] == detail
 
 
-def test_verify_system_sweeps_each_right_factor_once(monkeypatch):
-    # e_J, P_J and z_J each get one sweep of left translates, shared by
-    # every check that multiplies by them on the right; a fresh monoid,
-    # since once all rows are built products read them instead
-    from rmonoid import algebra
-    swept = []
+def _record_products(monkeypatch, m):
+    """Log (left operand, right factor) of every `RightFactor` product,
+    and keep every `RightFactor`, so a test can read how many translates
+    each one built."""
+    products, factors = [], []
+    init, left_mul = algebra.RightFactor.__init__, algebra.RightFactor.left_mul
 
-    def counting(b):
-        swept.append(b)
-        return left_translates(b)
-    monkeypatch.setattr(algebra, "left_translates", counting)
+    def recording_init(self, b):
+        factors.append(self)
+        init(self, b)
+
+    def recording_left_mul(self, a):
+        products.append((a.coeffs, self.translate(m.identity)))
+        return left_mul(self, a)
+    monkeypatch.setattr(algebra.RightFactor, "__init__", recording_init)
+    monkeypatch.setattr(algebra.RightFactor, "left_mul", recording_left_mul)
+    return products, factors
+
+
+def test_passing_system_needs_no_pair_product(monkeypatch):
+    # the zero certificate settles every pair of the z, P and e*P scans
+    # and the idempotent-sum lemma settles `orthogonal`, so the only
+    # products are e_K * e_K and P_K * P_K, over the terms the certificate
+    # leaves; and no right factor sweeps its translates, which would
+    # build one per element
     m = build_hecke_a(4)
     lat = build_semilattice(m)
     sys_ = e_system(lat, "general")
+    products, factors = _record_products(monkeypatch, m)
     assert verify_system(lat, sys_).passed
-    assert swept == [getattr(nd, what) for nd in sys_.data for what in "ePz"]
-    swept.clear()
-    m.table()
-    assert verify_system(lat, sys_).passed and swept == []
+    want = [getattr(nd, what).coeffs for nd in sys_.data for what in "eP"]
+    assert [b for _, b in products] == want
+    assert all(a.items() <= b.items() for a, b in products)
+    assert factors and all(len(f._memo) < m.size / 2 for f in factors)
+
+
+def _oracle_lines(m, table, sys_):
+    return system_check_lines(
+        table, m.identity, list(m.generators),
+        [(nd.node_id, nd.T, nd.z.coeffs, nd.P.coeffs, nd.e.coeffs)
+         for nd in sys_.data])
+
+
+def test_verify_system_matches_all_pairs_oracle():
+    # every report line against the explicit all-pairs scan, on clean
+    # systems and on one-record corruptions of each kind
+    rng = random.Random(2020)
+    monoids = [build_hecke_a(n) for n in range(2, 6)]
+    monoids += [build_free_lrb(k) for k in range(1, 5)]
+    monoids.append(close([Transformation((0, 2, 2)),
+                          Transformation((1, 1, 2))]))
+    monoids += random_r_trivial_monoids(count=100, seed=31)
+    failed = Counter()
+    for i, m in enumerate(monoids):
+        lat = build_semilattice(m)
+        sys_ = e_system(lat, "auto")
+        got = verify_system(lat, sys_).lines()
+        table = m.table()       # after the first check, which walks
+        assert got == _oracle_lines(m, table, sys_), i
+        k = lat.n_nodes
+        kinds = CORRUPTIONS if i < 9 else rng.sample(CORRUPTIONS, 2)
+        for kind in kinds:
+            bad = corrupted(sys_, kind, rng.choice("ePz"), rng.randrange(k),
+                            rng.randrange(k), rng.randrange(m.size),
+                            rng.choice((-1, 2)))
+            got = verify_system(lat, bad).lines()
+            assert got == _oracle_lines(m, table, bad), (i, kind)
+            failed.update(line.split()[1] for line in got
+                          if line.startswith("FAIL"))
+    # the corruptions reach every check
+    assert len(failed) == 8, failed
+
+
+def test_uncertified_pair_is_multiplied(monkeypatch):
+    # with z_0 = 1, Kill(z_0) is empty, so no certificate settles a pair
+    # of column 0; the exact product z_1 * 1 names the pair
+    m = build_hecke_a(3)
+    lat = build_semilattice(m)
+    sys_ = e_system(lat, "general")
+    bad = corrupted(sys_, "replace", "z", 0, 0, m.identity, 1)
+    products, _ = _record_products(monkeypatch, m)
+    lines = verify_system(lat, bad).lines()
+    assert lines == _oracle_lines(m, m.table(), bad)
+    assert ("FAIL  z_orthogonality  (z_J * z_K != 0 at (1, 0) with J not "
+            "preceq K)") in lines
+    assert (sys_.data[1].z.coeffs, {m.identity: 1}) in products
+
+
+def test_orthogonal_scans_when_a_premise_of_the_lemma_fails(monkeypatch):
+    # with e_J scaled, `idempotent` fails and `orthogonal` multiplies e
+    # pairs; with e_J a copy of e_K, `sum_to_one` fails and it names
+    # (J, K); a correct system multiplies no e pair
+    m = build_hecke_a(3)
+    lat = build_semilattice(m)
+    sys_ = e_system(lat, "general")
+    products, _ = _record_products(monkeypatch, m)
+
+    def e_pairs(s):
+        products.clear()
+        lines = verify_system(lat, s).lines()
+        es = [nd.e.coeffs for nd in s.data]
+        return lines, sum(b in es and a in es and a != b
+                          for a, b in products)
+    assert e_pairs(sys_) == (verify_system(lat, sys_).lines(), 0)
+    lines, n_pairs = e_pairs(corrupted(sys_, "scale", "e", 1, 0, 0))
+    assert "FAIL  idempotent  (e at node 1)" in lines
+    assert "PASS  orthogonal" in lines and n_pairs > 0
+    lines, n_pairs = e_pairs(corrupted(sys_, "copy", "e", 1, 2, 0))
+    assert "PASS  idempotent" in lines
+    assert "FAIL  orthogonal  (e_J * e_K != 0 at (1, 2))" in lines
+    assert n_pairs > 0
+    table = m.table()
+    for kind in ("scale", "copy"):
+        bad = corrupted(sys_, kind, "e", 1, 2, 0)
+        assert verify_system(lat, bad).lines() == _oracle_lines(m, table, bad)
 
 
 def test_hecke6_idempotents_read_only_generator_rows():
