@@ -87,17 +87,7 @@ def cmd_idempotents(args) -> int:
     lat = build_semilattice(m, order)
     system = e_system(lat, mode=args.mode)
     report = verify_system(lat, system)
-    payload = output.system_payload(lat, system)
-    if args.format == "json":
-        print(output.to_json(payload))
-    else:
-        for entry in payload["idempotents"]:
-            terms = " ".join(
-                f"{t['coeff']:+d}*[{t['word'] or '1'}]" for t in entry["terms"]
-            )
-            print(f"e{entry['label']} = {terms}")
-        for line in report.lines():
-            print(line)
+    output.write_system(sys.stdout, lat, system, args.format)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 

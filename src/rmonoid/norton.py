@@ -173,7 +173,11 @@ def e_system(lat: Semilattice, mode: str = "auto") -> IdempotentSystem:
         for K in lat.strictly_above(J):
             for x, c in data[K].e.coeffs.items():
                 rest[x] = get(x, 0) - c
-        rec.e = rec.P * AlgebraElement(m, rest)
+        # P_J*T_J = P_J: every term of P_J's sum ends in z_J = A_J*T_J,
+        # and z_J*T_J = z_J as T_J is idempotent. So e_J = P_J*(T_J*R_J)
+        # with R_J = rest, and the right factor T_J*R_J has fewer terms
+        # than R_J wherever T_J absorbs them.
+        rec.e = rec.P * (basis(m, rec.T) * AlgebraElement(m, rest))
         data[J] = rec
     return IdempotentSystem(data=data, mode_used=mode)
 

@@ -21,11 +21,20 @@ long way, through the generic `close` and `from_table`: 0-Hecke as n-1
 transformations of the n! permutations, and the free left regular band as
 its full word table. The family builders, which close over permutations
 and distinct-letter words directly, must agree with them id for id.
+
+`omega_identities_failure` is the pair scan behind the `omega_identities`
+check, one pair at a time over the table. `joined_idempotents` is the
+`idempotents` document as a whole string, built from the payload
+functions of `rmonoid.output` the way the CLI built it before it wrote
+the document record by record; it is the reference the streamed writer
+must match byte for byte.
 """
 
 import itertools
+import random
 
 from rmonoid import Transformation, close, from_table
+from rmonoid.output import system_payload, to_json
 
 
 def vec_mul(table, u, v):
@@ -195,6 +204,57 @@ def system_check_lines(table, identity, gens, records):
     add("e_p_orthogonality", first_nonzero(E, P, below),
         "e_K * P_J != 0 at {} with K not preceq J")
     return lines
+
+
+def omega_identities_failure(table, pair_limit, seed, idem=None):
+    """The first (x, y, which) at which identity number `which` of the
+    seven idempotent-power identities fails, or None. Pairs run in
+    row-major order when n^2 <= pair_limit, and are otherwise pair_limit
+    draws (x, then y) from random.Random(seed). `idem` lists x^omega per
+    x, found from the table when not given."""
+    n = len(table)
+    if n * n <= pair_limit:
+        pairs = ((x, y) for x in range(n) for y in range(n))
+    else:
+        rng = random.Random(seed)
+        pairs = ((rng.randrange(n), rng.randrange(n))
+                 for _ in range(pair_limit))
+    if idem is None:
+        idem = [idem_power(table, x) for x in range(n)]
+    for x, y in pairs:
+        xy = table[x][y]
+        xo, yo = idem[x], idem[y]
+        w = idem[xy]
+        u = idem[table[xo][yo]]
+        checks = (
+            table[w][x] == w,
+            table[w][y] == w,
+            table[w][xo] == w,
+            table[w][yo] == w,
+            table[u][xo] == u,
+            table[u][xy] == u,
+            table[u][w] == u,
+        )
+        if not all(checks):
+            return (x, y, checks.index(False) + 1)
+    return None
+
+
+def joined_idempotents(lat, system, fmt):
+    """The stdout of `rmonoid idempotents --format fmt` for a verified
+    system, joined whole from `system_payload`."""
+    payload = system_payload(lat, system)
+    if fmt == "json":
+        return to_json(payload) + "\n"
+    lines = []
+    for entry in payload["idempotents"]:
+        terms = " ".join(
+            f"{t['coeff']:+d}*[{t['word'] or '1'}]" for t in entry["terms"]
+        )
+        lines.append(f"e{entry['label']} = {terms}")
+    if system.verification is not None:
+        lines += system.verification.lines()
+    return "".join(line + "\n" for line in lines)
 
 
 # -- brute-force definitions of the order-level structure --------------------

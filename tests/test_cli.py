@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -336,3 +337,71 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
         assert len(built) == n_built
     finally:
         cli.build_parser.cache_clear()
+
+
+# Byte-identity gate: (exit code, SHA-256 of stdout, SHA-256 of stderr),
+# the first 16 hex digits of each, for every command, format and mode.
+# Recorded before `idempotents` streamed its document; a change that moves
+# one byte of any of these outputs changes behaviour, not just speed.
+GATE_SPECS = {"hecke_a 4": '{"kind":"hecke_a","n":4}',
+              "free_lrb 3": '{"kind":"free_lrb","k":3}', "matrix": MATRIX}
+EMPTY = "e3b0c44298fc1c14"  # no output
+GATE_DIGESTS = {
+    ("hecke_a 4", "analyze"): (0, "1a68912cf675b25e", EMPTY),
+    ("hecke_a 4", "lattice"): (0, "c577671991bcfa7c", EMPTY),
+    ("hecke_a 4", "verify"): (0, "e1750deedd384ff7", EMPTY),
+    ("hecke_a 4", "idempotents --format json --mode general"):
+        (0, "aa4ef6928b5e2643", EMPTY),
+    ("hecke_a 4", "idempotents --format json --mode jtrivial"):
+        (0, "cd91e0e79ef1422a", EMPTY),
+    ("hecke_a 4", "idempotents --format json --mode auto"):
+        (0, "cd91e0e79ef1422a", EMPTY),
+    ("hecke_a 4", "idempotents --format text --mode general"):
+        (0, "81405fe2e9130a5b", EMPTY),
+    ("hecke_a 4", "idempotents --format text --mode jtrivial"):
+        (0, "81405fe2e9130a5b", EMPTY),
+    ("hecke_a 4", "idempotents --format text --mode auto"):
+        (0, "81405fe2e9130a5b", EMPTY),
+    ("free_lrb 3", "analyze"): (0, "0dfecdc43f77f3e2", EMPTY),
+    ("free_lrb 3", "lattice"): (0, "a0a67c3c4a430c14", EMPTY),
+    ("free_lrb 3", "verify"): (0, "3facd5b6da8ef31e", EMPTY),
+    ("free_lrb 3", "idempotents --format json --mode general"):
+        (0, "688eae4d2d4d9cf1", EMPTY),
+    ("free_lrb 3", "idempotents --format json --mode jtrivial"):
+        (1, EMPTY, "6a57bcaed927ed2d"),
+    ("free_lrb 3", "idempotents --format json --mode auto"):
+        (0, "688eae4d2d4d9cf1", EMPTY),
+    ("free_lrb 3", "idempotents --format text --mode general"):
+        (0, "740d3b52d5423e0c", EMPTY),
+    ("free_lrb 3", "idempotents --format text --mode jtrivial"):
+        (1, EMPTY, "6a57bcaed927ed2d"),
+    ("free_lrb 3", "idempotents --format text --mode auto"):
+        (0, "740d3b52d5423e0c", EMPTY),
+    ("matrix", "analyze"): (0, "535bc33c4cb5d09d", EMPTY),
+    ("matrix", "lattice"): (0, "22473b7c7d996c01", EMPTY),
+    ("matrix", "verify"): (0, "e1750deedd384ff7", EMPTY),
+    ("matrix", "idempotents --format json --mode general"):
+        (0, "6f06761de72e848c", EMPTY),
+    ("matrix", "idempotents --format json --mode jtrivial"):
+        (0, "53fe3f6736746648", EMPTY),
+    ("matrix", "idempotents --format json --mode auto"):
+        (0, "53fe3f6736746648", EMPTY),
+    ("matrix", "idempotents --format text --mode general"):
+        (0, "0d0be1b4e511f561", EMPTY),
+    ("matrix", "idempotents --format text --mode jtrivial"):
+        (0, "0d0be1b4e511f561", EMPTY),
+    ("matrix", "idempotents --format text --mode auto"):
+        (0, "0d0be1b4e511f561", EMPTY),
+}
+
+
+def test_outputs_byte_identical_to_recorded_digests(capsys):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+    got = {}
+    for name, args in GATE_DIGESTS:
+        argv = args.split()
+        rc = main([argv[0], GATE_SPECS[name], *argv[1:]])
+        out = capsys.readouterr()
+        got[name, args] = (rc, digest(out.out), digest(out.err))
+    assert got == GATE_DIGESTS

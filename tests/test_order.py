@@ -1,7 +1,12 @@
+import random
+
+import pytest
+
 import oracle
 from conftest import random_transformation_monoids
 from rmonoid import (build_free_lrb, build_semilattice, check_left_absorption,
                      is_j_trivial, weak_preorder)
+from rmonoid import verify
 from rmonoid.order import _reach, _upsets, iter_bits
 from rmonoid.verify import check_omega_identities
 
@@ -166,3 +171,93 @@ def test_omega_identities(matrix_monoid, lrb2, hecke4, trivial):
     for m in (matrix_monoid, lrb2, hecke4, trivial):
         ok, bad = check_omega_identities(m)
         assert ok, bad
+
+
+def _omega_verdicts_match_pair_scan(monoids, pair_limit):
+    """check_omega_identities against the oracle's pair scan; returns how
+    many of the monoids fail an identity."""
+    failed = 0
+    for m in monoids:
+        want = oracle.omega_identities_failure(m.table(), pair_limit,
+                                               verify.SAMPLE_SEED)
+        assert check_omega_identities(m) == (want is None, want)
+        failed += want is not None
+    return failed
+
+
+def test_omega_identities_match_pair_scan(matrix_monoid, lrb2, hecke4,
+                                          group2, trivial):
+    # arbitrary maps give monoids that are not R-trivial, where some
+    # identity fails: the first failing pair and identity must agree
+    monoids = [matrix_monoid, lrb2, hecke4, group2, trivial,
+               build_free_lrb(3)]
+    monoids += random_transformation_monoids(200, seed=2323, decreasing=False)
+    failed = _omega_verdicts_match_pair_scan(monoids, verify.PAIR_LIMIT)
+    assert 0 < failed < len(monoids)
+
+
+def test_omega_identities_sampled_match_pair_scan(monkeypatch, hecke4,
+                                                  group2):
+    # past the pair limit the check draws its pairs from the fixed seed
+    monkeypatch.setattr(verify, "PAIR_LIMIT", 30)
+    monoids = [hecke4, build_free_lrb(3)]
+    monoids += random_transformation_monoids(40, seed=2324, decreasing=False)
+    monoids = [m for m in monoids if m.size ** 2 > 30]
+    failed = _omega_verdicts_match_pair_scan(monoids, 30)
+    assert 0 < failed < len(monoids)
+
+
+class _TableMonoid:
+    """What check_omega_identities reads of a monoid (size, rows and
+    idempotent powers), from a table and a list of powers that need not
+    belong to a monoid."""
+
+    def __init__(self, table, idem):
+        self.size = len(table)
+        self.row = table.__getitem__
+        self.idempotent_power = idem.__getitem__
+
+
+@pytest.mark.parametrize("pair_limit", [verify.PAIR_LIMIT, 30])
+def test_omega_identities_match_pair_scan_on_corrupted_tables(
+        monkeypatch, hecke4, pair_limit):
+    # in a monoid identity 1 or 2 fails first almost always, and the rest
+    # are largely implied by them. One corrupted entry of an R-trivial
+    # monoid's list of powers or of its table, at random or the entry one
+    # identity reads at one pair, lets each of them fail first, and alone.
+    monkeypatch.setattr(verify, "PAIR_LIMIT", pair_limit)
+    rng = random.Random(2325)
+    bases = [build_free_lrb(3), hecke4]
+    bases += random_transformation_monoids(8, seed=2326, decreasing=True)
+    seen = set()
+    for _ in range(600):
+        m = rng.choice(bases)
+        n = m.size
+        table = m.table()
+        idem = [m.idempotent_power(x) for x in range(n)]
+        x, y, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            idem[x] = v
+        elif kind == 1:
+            table[x][y] = v
+        else:
+            xy, xo, yo = table[x][y], idem[x], idem[y]
+            w, u = idem[xy], idem[table[xo][yo]]
+            row, col = rng.choice([(w, x), (w, y), (w, xo), (w, yo),
+                                   (u, xo), (u, xy), (u, w)])
+            table[row][col] = (table[row][col] + 1 + v % (n - 1)) % n
+        want = oracle.omega_identities_failure(table, pair_limit,
+                                               verify.SAMPLE_SEED, idem)
+        got = check_omega_identities(_TableMonoid(table, idem))
+        assert got == (want is None, want)
+        seen.add(want and want[2])
+    assert seen >= {None, 1, 2, 3, 4, 5, 6}
+
+
+def test_sampled_omega_identities_build_only_rows_read(monkeypatch):
+    # each drawn pair reads the rows of x, x^omega, w and u
+    monkeypatch.setattr(verify, "PAIR_LIMIT", 3)
+    m = build_free_lrb(4)
+    assert check_omega_identities(m) == (True, None)
+    assert 0 < sum(m._cached_row(x) is not None for x in range(m.size)) <= 12
